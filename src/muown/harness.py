@@ -81,6 +81,9 @@ class ExperimentConfig:
             raise ConfigError("model.num_batches and model.batch_size must be >= 1")
         if self.sweep_log2_max < self.sweep_log2_min:
             raise ConfigError("lr_sweep: log2_max must be >= log2_min")
+        if not self.rate_horizons or min(self.rate_horizons) < 1:
+            raise ConfigError(
+                f"rate_check.horizons: need one or more horizons >= 1, got {list(self.rate_horizons)}")
         if self.noise_checkpoints < 1:
             raise ConfigError("noise.checkpoints: must be >= 1")
         for kind in self.sweep_optimizers:
@@ -92,6 +95,9 @@ class ExperimentConfig:
         if missing:
             raise ConfigError(
                 f"model.dims: missing {missing} for kind {self.model_kind!r}")
+        small = [k for k in required_dims if self.model_dims[k] < 1]
+        if small:
+            raise ConfigError(f"model.dims: {small} must be >= 1")
 
 
 def config_from_dict(raw: dict, preset: Optional[str] = None) -> ExperimentConfig:
@@ -145,10 +151,16 @@ def config_from_dict(raw: dict, preset: Optional[str] = None) -> ExperimentConfi
             raise ConfigError(f"optimizer.{next(iter(opt))}: unknown config field")
         if ns_steps is not None or ns_coeffs is not None:
             base = NSConfig()
-            hp_kwargs["ns"] = NSConfig(
-                steps=_expect_int(ns_steps, "optimizer.ns_steps") if ns_steps is not None else base.steps,
-                coeffs=tuple(ns_coeffs) if ns_coeffs is not None else base.coeffs,
-            )
+            steps = base.steps if ns_steps is None else _expect_int(ns_steps, "optimizer.ns_steps")
+            if steps < 1:
+                raise ConfigError(f"optimizer.ns_steps: must be >= 1, got {steps}")
+            try:
+                hp_kwargs["ns"] = NSConfig(
+                    steps=steps,
+                    coeffs=base.coeffs if ns_coeffs is None else tuple(ns_coeffs),
+                )
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"optimizer.ns_coeffs: {exc}") from exc
         hp_kwargs.setdefault("eta", 0.02)
         try:
             kw["hp"] = HyperParams(**hp_kwargs)
@@ -171,6 +183,8 @@ def config_from_dict(raw: dict, preset: Optional[str] = None) -> ExperimentConfi
         if rate:
             raise ConfigError(f"rate_check.{next(iter(rate))}: unknown config field")
         if horizons is not None:
+            if not isinstance(horizons, list):
+                raise ConfigError(f"rate_check.horizons: expected a list, got {horizons!r}")
             kw["rate_horizons"] = tuple(_expect_int(t, "rate_check.horizons[]") for t in horizons)
 
     sweep = dict(raw.get("lr_sweep", {}))
@@ -183,6 +197,9 @@ def config_from_dict(raw: dict, preset: Optional[str] = None) -> ExperimentConfi
         if "log2_max" in sweep:
             kw["sweep_log2_max"] = _expect_int(sweep["log2_max"], "lr_sweep.log2_max")
         if "optimizers" in sweep:
+            if not isinstance(sweep["optimizers"], list):
+                raise ConfigError(
+                    f"lr_sweep.optimizers: expected a list, got {sweep['optimizers']!r}")
             kw["sweep_optimizers"] = tuple(sweep["optimizers"])
 
     noise = dict(raw.get("noise", {}))
@@ -296,13 +313,9 @@ def _run_loop(cfg: ExperimentConfig, spec: ModelSpec, layers: list[Layer],
         columns += [f"{name}.spec_norm", f"{name}.g_inf", f"{name}.coherence",
                     f"{name}.grad_dual", f"{name}.upd_norm"]
     rows: list[list] = []
-    num_batches = len(batches)
     t = 0
     try:
-        for t in range(cfg.steps):
-            epoch, slot = divmod(t, num_batches)
-            order = models.epoch_order(num_batches, cfg.seed, epoch)
-            batch = batches[order[slot]]
+        for t, batch in _epoch_batches(batches, cfg.seed, cfg.steps):
             eta_t = eta_at(cfg.schedule, t, cfg.steps, cfg.hp.eta)
             hp_t = replace(cfg.hp, eta=eta_t)
             loss, grads = loss_and_grad(spec, _params_as_set(spec, layers), batch)
@@ -323,10 +336,8 @@ def _run_loop(cfg: ExperimentConfig, spec: ModelSpec, layers: list[Layer],
     except (NonFiniteError, ZeroRowError, StepAllError) as exc:
         raise RuntimeError(f"optimizer failed at step {t + 1}: {exc}") from exc
 
-    final_loss, _ = loss_and_grad(
-        spec, _params_as_set(spec, layers),
-        batches[models.epoch_order(num_batches, cfg.seed, 0)[0]],
-    )
+    final_loss, _ = loss_and_grad(spec, _params_as_set(spec, layers),
+                                  _first_batch(batches, cfg.seed))
     summary = {
         "preset": cfg.preset,
         "seed": cfg.seed,
@@ -351,6 +362,21 @@ def _run_loop(cfg: ExperimentConfig, spec: ModelSpec, layers: list[Layer],
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
     return log
+
+
+def _epoch_batches(batches: list[Batch], seed: int, steps: int):
+    """Yield (t, batch) for steps 0..steps-1, one ``epoch_order`` per epoch."""
+    num_batches = len(batches)
+    for t in range(steps):
+        epoch, slot = divmod(t, num_batches)
+        if slot == 0:
+            order = models.epoch_order(num_batches, seed, epoch)
+        yield t, batches[order[slot]]
+
+
+def _first_batch(batches: list[Batch], seed: int) -> Batch:
+    """The first batch of epoch 0, on which final losses are reported."""
+    return batches[models.epoch_order(len(batches), seed, 0)[0]]
 
 
 def _params_as_set(spec: ModelSpec, layers: list[Layer]) -> ParamSet:
@@ -530,10 +556,7 @@ def preset_noise_compare(cfg: ExperimentConfig, out_dir: Optional[str] = None) -
     k = min(cfg.noise_checkpoints, cfg.steps)
     checkpoint_steps = sorted({round((i + 1) * cfg.steps / k) for i in range(k)})
     rows = []
-    num_batches = len(batches)
-    for t in range(cfg.steps):
-        epoch, slot = divmod(t, num_batches)
-        batch = batches[models.epoch_order(num_batches, cfg.seed, epoch)[slot]]
+    for t, batch in _epoch_batches(batches, cfg.seed, cfg.steps):
         eta_t = eta_at(cfg.schedule, t, cfg.steps, cfg.hp.eta)
         loss, grads = loss_and_grad(spec, _params_as_set(spec, layers), batch)
         layers = step_all(layers, grads, replace(cfg.hp, eta=eta_t))
@@ -581,21 +604,21 @@ def preset_lr_sweep(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dic
     """
     etas = [2.0 ** k for k in range(cfg.sweep_log2_min, cfg.sweep_log2_max + 1)]
     rows = []
+    # Every cell starts from the same model and data; steps and init_layers
+    # copy what they keep, so the arrays are shared read-only across cells.
+    spec, params, batches = models.make_model(
+        cfg.model_kind, cfg.model_dims, cfg.seed,
+        num_batches=cfg.num_batches, batch_size=cfg.batch_size,
+    )
+    first_batch = _first_batch(batches, cfg.seed)
     for opt_kind in cfg.sweep_optimizers:
         for eta in etas:
-            spec, params, batches = models.make_model(
-                cfg.model_kind, cfg.model_dims, cfg.seed,
-                num_batches=cfg.num_batches, batch_size=cfg.batch_size,
-            )
             layers = init_layers(params.named_values(), matrix_kind=opt_kind)
             hp = replace(cfg.hp, eta=eta)
             final_loss = math.inf
             diverged = False
             steps_done = 0
-            num_batches = len(batches)
-            for t in range(cfg.steps):
-                epoch, slot = divmod(t, num_batches)
-                batch = batches[models.epoch_order(num_batches, cfg.seed, epoch)[slot]]
+            for t, batch in _epoch_batches(batches, cfg.seed, cfg.steps):
                 try:
                     loss, grads = loss_and_grad(spec, _params_as_set(spec, layers), batch)
                     if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
@@ -611,8 +634,7 @@ def preset_lr_sweep(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dic
             if not diverged:
                 try:
                     final_loss, _ = loss_and_grad(
-                        spec, _params_as_set(spec, layers),
-                        batches[models.epoch_order(num_batches, cfg.seed, 0)[0]])
+                        spec, _params_as_set(spec, layers), first_batch)
                     if not math.isfinite(final_loss) or final_loss > DIVERGENCE_LOSS:
                         diverged = True
                 except (NonFiniteError, ZeroRowError):

@@ -221,15 +221,23 @@ def finite_difference_grad(spec: ModelSpec, params: ParamSet, batch: Optional[Ba
 
 
 def _init_matrix(stream: SplitMix64, m: int, n: int) -> np.ndarray:
-    """Uniform(-a, a) init with per-row rejection so no row is near zero."""
+    """Uniform(-a, a) init with per-row rejection so no row is near zero.
+
+    Rows are drawn in stream order, one block for the whole matrix. A rejected
+    row i is redrawn from the next n draws, which are the block's row i + 1,
+    so rows i + 1.. shift up one and only the last row is drawn afresh: the
+    stream is consumed exactly as by drawing and checking row by row.
+    """
     a = 1.0 / np.sqrt(n)
     floor = _ROW_FLOOR_FRAC * a * np.sqrt(n)
-    w = np.empty((m, n))
-    for i in range(m):
-        row = stream.uniform_array((n,), -a, a)
-        while np.sqrt(np.sum(row * row)) <= floor:
-            row = stream.uniform_array((n,), -a, a)
-        w[i] = row
+    w = stream.uniform_array((m, n), -a, a)
+    i = 0
+    while i < m:
+        if np.sqrt(np.sum(w[i] * w[i])) <= floor:
+            w[i:-1] = w[i + 1:]
+            w[-1] = stream.uniform_array((n,), -a, a)
+        else:
+            i += 1
     return w
 
 

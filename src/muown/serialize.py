@@ -16,6 +16,7 @@ import numpy as np
 
 MAGIC = b"MWN1"
 _HEADER = struct.Struct("<QQ")
+_READ_CHUNK = 1 << 24
 
 
 def write_record(fh: BinaryIO, a: np.ndarray) -> int:
@@ -32,15 +33,30 @@ def write_record(fh: BinaryIO, a: np.ndarray) -> int:
     return len(MAGIC) + _HEADER.size + len(payload)
 
 
+def _read_exact(fh: BinaryIO, size: int) -> bytes:
+    """Read ``size`` bytes or raise ValueError, in bounded reads.
+
+    A header may claim far more bytes than the file holds, so the read never
+    asks for more than ``_READ_CHUNK`` at a time.
+    """
+    parts = []
+    while size > 0:
+        part = fh.read(min(size, _READ_CHUNK))
+        if not part:
+            raise ValueError("truncated MWN1 record")
+        parts.append(part)
+        size -= len(part)
+    return b"".join(parts)
+
+
 def read_record(fh: BinaryIO) -> np.ndarray:
+    """Read one record; any malformed or truncated record raises ValueError."""
     magic = fh.read(4)
     if magic != MAGIC:
         raise ValueError(f"bad MWN1 magic: {magic!r}")
-    m, n = _HEADER.unpack(fh.read(_HEADER.size))
+    m, n = _HEADER.unpack(_read_exact(fh, _HEADER.size))
     count = m * n
-    raw = fh.read(8 * count)
-    if len(raw) != 8 * count:
-        raise ValueError("truncated MWN1 record")
+    raw = _read_exact(fh, 8 * count)
     return np.frombuffer(raw, dtype="<f8", count=count).astype(np.float64).reshape(m, n)
 
 

@@ -200,6 +200,21 @@ class TestCli:
                        "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    @pytest.mark.parametrize("preset, override", [
+        ("drift", "optimizer.ns_steps=0"),
+        ("drift", "optimizer.ns_coeffs=[1,2]"),
+        ("drift", "optimizer.ns_coeffs=5"),
+        ("rate-check", "rate_check.horizons=[0]"),
+        ("rate-check", "rate_check.horizons=5"),
+        ("lr-sweep", "lr_sweep.optimizers=5"),
+        ("single", 'model.dims={"d_in": 6, "hidden": 0, "d_out": 4}'),
+    ])
+    def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, preset, override):
+        rc = cli_main(["run", preset, "--set", override, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        field = override.partition("=")[0]
+        assert f"config error: {field}" in capsys.readouterr().err
+
     def test_bad_json_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

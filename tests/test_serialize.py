@@ -54,3 +54,22 @@ def test_record_count_check(tmp_path, rng):
     save_matrices(path, [rng.standard_normal((2, 2))])
     with pytest.raises(ValueError, match="expected 3"):
         load_matrices(path, count=3)
+
+
+def test_truncated_header():
+    with pytest.raises(ValueError, match="truncated"):
+        read_record(io.BytesIO(MAGIC + struct.pack("<QQ", 2, 2)[:10]))
+
+
+def test_oversized_header_is_a_value_error():
+    raw = MAGIC + struct.pack("<QQ", 2**62, 1) + b"\0" * 8
+    with pytest.raises(ValueError, match="truncated"):
+        read_record(io.BytesIO(raw))
+
+
+@pytest.mark.parametrize("rows, cols", [(2**62, 2**62), (2**64 - 1, 0), (2**62, 0)])
+def test_oversized_header_from_file(tmp_path, rows, cols):
+    path = tmp_path / "big.mwn1"
+    path.write_bytes(MAGIC + struct.pack("<QQ", rows, cols))
+    with pytest.raises(ValueError):
+        load_matrices(path)
