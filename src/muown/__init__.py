@@ -18,21 +18,16 @@ from .diagnostics import (
 from .errors import (
     ConfigError,
     NonFiniteError,
-    PowerIterationError,
     StepAllError,
     ZeroRowError,
 )
 from .linalg import (
-    diag_scale_rows,
     frobenius_norm,
-    lambda_max_sym,
     nuclear_norm,
     proj_radial,
     row_norms,
-    spectral_norm,
     svd,
     vec_l1,
-    vec_linf,
 )
 from .optimizers import (
     HyperParams,

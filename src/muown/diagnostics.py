@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroRowError
 from .linalg import (
     as_matrix,
     as_vector,
@@ -27,7 +26,7 @@ from .linalg import (
     singular_values,
     vec_l1,
 )
-from .reparam import EPS_ROW, ReparamView, grad_R, grad_g
+from .reparam import ReparamView, check_rows_nonzero, grad_R, grad_g
 
 
 @dataclass(frozen=True)
@@ -86,10 +85,7 @@ def spectral_decomposition(w, g=None) -> DecompReport:
         g = as_vector(g)
         if g.shape[0] != w.shape[0]:
             raise ValueError(f"g length {g.shape[0]} != row count {w.shape[0]}")
-    bad = np.abs(g) <= EPS_ROW
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ZeroRowError(i, float(g[i]))
+    check_rows_nonzero(g)
     d = w / g[:, None]
     absg = np.abs(g)
     ginf = float(np.max(absg))

@@ -18,10 +18,6 @@ class NonFiniteError(ValueError):
     """NaN or Inf appeared where the contract requires finite values."""
 
 
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within the iteration budget."""
-
-
 class StepAllError(RuntimeError):
     """One or more per-layer optimizer steps failed; carries (index, error) pairs."""
 

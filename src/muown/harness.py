@@ -24,6 +24,7 @@ from .errors import ConfigError, NonFiniteError, StepAllError, ZeroRowError
 from .linalg import row_norms, singular_values, vec_l1, nuclear_norm
 from .models import Batch, ModelSpec, ParamSet, loss_and_grad
 from .optimizers import (
+    INIT_FNS,
     HyperParams,
     Layer,
     MATRIX_KINDS,
@@ -32,7 +33,7 @@ from .optimizers import (
     step_all,
 )
 from .orthogonalize import NSConfig
-from .reparam import init_view, view_from_state, grad_g, grad_R
+from .reparam import ReparamView, grad_R, grad_g, init_view, view_from_state
 from .schedule import ScheduleSpec, eta_at
 
 CSV_SCHEMA_LINE = "#schema=1"
@@ -74,8 +75,7 @@ class ExperimentConfig:
             raise ConfigError("checkpoint_every: must be >= 0")
         if self.model_kind not in models.MODEL_KINDS:
             raise ConfigError(f"model.kind: unknown kind {self.model_kind!r}")
-        if self.optimizer_kind not in MATRIX_KINDS and self.optimizer_kind != "adamw" \
-                and self.optimizer_kind != "signum":
+        if self.optimizer_kind not in INIT_FNS:
             raise ConfigError(f"optimizer.kind: unknown kind {self.optimizer_kind!r}")
         if self.num_batches < 1 or self.batch_size < 1:
             raise ConfigError("model.num_batches and model.batch_size must be >= 1")
@@ -87,7 +87,7 @@ class ExperimentConfig:
         if self.noise_checkpoints < 1:
             raise ConfigError("noise.checkpoints: must be >= 1")
         for kind in self.sweep_optimizers:
-            if kind not in MATRIX_KINDS + ("adamw", "signum"):
+            if kind not in INIT_FNS:
                 raise ConfigError(f"lr_sweep.optimizers: unknown kind {kind!r}")
         required_dims = {"quadratic": ("m", "n"), "logistic": ("features",),
                          "mlp2": ("d_in", "hidden", "d_out")}[self.model_kind]
@@ -126,7 +126,11 @@ def config_from_dict(raw: dict, preset: Optional[str] = None) -> ExperimentConfi
         if "dims" in model:
             if not isinstance(model["dims"], dict):
                 raise ConfigError("model.dims: must be an object of integer dimensions")
-            kw["model_dims"] = {k: _expect_int(v, f"model.dims.{k}") for k, v in model["dims"].items()}
+            dims = {k: _expect_int(v, f"model.dims.{k}") for k, v in model["dims"].items()}
+            # dims of the default kind merge over its defaults; another kind needs all of its own
+            if model.get("kind", ExperimentConfig.model_kind) == ExperimentConfig.model_kind:
+                dims = {**_DEFAULT_DIMS, **dims}
+            kw["model_dims"] = dims
         if "num_batches" in model:
             kw["num_batches"] = _expect_int(model["num_batches"], "model.num_batches")
         if "batch_size" in model:
@@ -258,29 +262,40 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, columns: list[str], rows: list[list]) -> None:
+def _write_run(out_dir: Optional[str], columns: list[str], rows: list[list],
+               summary: dict) -> Optional[str]:
+    """Write ``log.csv`` and ``summary.json`` into ``out_dir`` if given; return the log path."""
+    if not out_dir:
+        return None
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "log.csv")
     with open(path, "w", newline="") as fh:
         fh.write(CSV_SCHEMA_LINE + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+        json.dump(summary, fh, indent=2, sort_keys=True)
+    return path
+
+
+def _view_of(state) -> ReparamView:
+    """A matrix layer's decomposition: from its stored (g, r) when the optimizer
+    keeps them, else the one that starts from its weight."""
+    if hasattr(state, "g"):
+        return view_from_state(state.param, state.g, state.r)
+    return init_view(state.param)
 
 
 def _layer_metrics(layer: Layer, grad: np.ndarray, prev_param: np.ndarray) -> dict:
     w = layer.state.param
-    state = layer.state
-    if hasattr(state, "g") and hasattr(state, "r"):
-        view = view_from_state(w, state.g, state.r)
-        g_inf = float(np.max(np.abs(state.g)))
-    else:
-        view = init_view(w)
-        g_inf = float(np.max(row_norms(w)))
+    view = _view_of(layer.state)
     gg = grad_g(grad, view.D)
     gr = grad_R(grad, view.g, view.r, view.D)
-    report = spectral_decomposition(w, g=getattr(state, "g", None))
+    report = spectral_decomposition(w, g=view.g)
     return {
         "spec_norm": float(singular_values(w)[0]),
-        "g_inf": g_inf,
+        "g_inf": float(np.max(np.abs(view.g))),
         "coherence": report.coherence,
         "grad_dual": dual_norm(gg, gr),
         "upd_norm": float(singular_values(w - prev_param)[0]),
@@ -292,20 +307,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     """Train per the config; returns the log and optionally writes artifacts.
 
     ``probe(t, layers_before, layers_after, loss, grads)`` runs after every
-    step when given; it must not mutate its arguments.
+    step when given; it must not mutate its arguments. A run that fails stops
+    at the failing step and records it as ``summary["failure"]`` (see
+    ``_failure``) in place of the final loss.
     """
-    spec, params, batches = models.make_model(
-        cfg.model_kind, cfg.model_dims, cfg.seed,
-        num_batches=cfg.num_batches, batch_size=cfg.batch_size,
-    )
-    layers = init_layers(params.named_values(), matrix_kind=cfg.optimizer_kind,
-                         vector_kind="adamw" if cfg.optimizer_kind != "signum" else "signum")
-    return _run_loop(cfg, spec, layers, batches, out_dir, probe)
-
-
-def _run_loop(cfg: ExperimentConfig, spec: ModelSpec, layers: list[Layer],
-              batches: list[Batch], out_dir: Optional[str],
-              probe: Optional[Callable]) -> RunLog:
+    spec, params, batches = _make_model(cfg)
+    layers = init_layers(params.named_values(), matrix_kind=cfg.optimizer_kind)
     matrix_layers = [l.name for l in layers if l.kind in MATRIX_KINDS
                      or l.state.param.ndim == 2]
     columns = ["step", "eta", "loss"]
@@ -313,65 +320,106 @@ def _run_loop(cfg: ExperimentConfig, spec: ModelSpec, layers: list[Layer],
         columns += [f"{name}.spec_norm", f"{name}.g_inf", f"{name}.coherence",
                     f"{name}.grad_dual", f"{name}.upd_norm"]
     rows: list[list] = []
-    t = 0
+    step, where, failure = 0, None, None
     try:
-        for t, batch in _epoch_batches(batches, cfg.seed, cfg.steps):
-            eta_t = eta_at(cfg.schedule, t, cfg.steps, cfg.hp.eta)
-            hp_t = replace(cfg.hp, eta=eta_t)
-            loss, grads = loss_and_grad(spec, _params_as_set(spec, layers), batch)
-            before = layers
-            layers = step_all(layers, grads, hp_t)
+        for t, eta_t, loss, grads, before, layers in _train(cfg, spec, layers, batches,
+                                                            cfg.hp):
+            step = t + 1
             if probe is not None:
                 probe(t, before, layers, loss, grads)
-            if (t + 1) % cfg.log_every == 0 or t == cfg.steps - 1:
-                row = [t + 1, float(eta_t), float(loss)]
+            if step % cfg.log_every == 0 or step == cfg.steps:
+                row = [step, float(eta_t), float(loss)]
                 for layer, prev, grad in zip(layers, before, grads):
                     if layer.name in matrix_layers:
+                        where = layer.name
                         met = _layer_metrics(layer, grad, prev.state.param)
                         row += [met["spec_norm"], met["g_inf"], met["coherence"],
                                 met["grad_dual"], met["upd_norm"]]
                 rows.append(row)
-            if out_dir and cfg.checkpoint_every and (t + 1) % cfg.checkpoint_every == 0:
-                save_checkpoint(os.path.join(out_dir, f"ckpt_{t + 1:06d}"), layers, cfg.hp)
-    except (NonFiniteError, ZeroRowError, StepAllError) as exc:
-        raise RuntimeError(f"optimizer failed at step {t + 1}: {exc}") from exc
+            if out_dir and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
+                save_checkpoint(os.path.join(out_dir, f"ckpt_{step:06d}"), layers, cfg.hp)
+    except _RUN_ERRORS as exc:
+        failure = _failure(exc, step, layers, where)
 
-    final_loss, _ = loss_and_grad(spec, _params_as_set(spec, layers),
-                                  _first_batch(batches, cfg.seed))
     summary = {
         "preset": cfg.preset,
         "seed": cfg.seed,
         "steps": cfg.steps,
         "model_kind": cfg.model_kind,
         "optimizer_kind": cfg.optimizer_kind,
-        "final_loss": float(final_loss),
-        "layers": {
+    }
+    if failure:
+        summary["failure"] = failure
+    else:
+        final_loss, _ = loss_and_grad(spec, _params_as_set(layers),
+                                      _first_batch(batches, cfg.seed))
+        summary["final_loss"] = float(final_loss)
+        summary["layers"] = {
             layer.name: {
                 "kind": layer.kind,
                 "spec_norm": float(singular_values(layer.state.param)[0])
                 if layer.state.param.ndim == 2 else None,
             }
             for layer in layers
-        },
-    }
-    log = RunLog(columns=columns, rows=rows, summary=summary, final_layers=layers)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        log.csv_path = os.path.join(out_dir, "log.csv")
-        _write_csv(log.csv_path, columns, rows)
-        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-    return log
+        }
+    return RunLog(columns=columns, rows=rows, summary=summary, final_layers=layers,
+                  csv_path=_write_run(out_dir, columns, rows, summary))
 
 
-def _epoch_batches(batches: list[Batch], seed: int, steps: int):
-    """Yield (t, batch) for steps 0..steps-1, one ``epoch_order`` per epoch."""
-    num_batches = len(batches)
-    for t in range(steps):
-        epoch, slot = divmod(t, num_batches)
+def _train(cfg: ExperimentConfig, spec: ModelSpec, layers: list[Layer],
+           batches: list[Batch], hp: HyperParams):
+    """Yield ``(t, eta_t, loss, grads, layers_before, layers_after)`` per step.
+
+    The one training loop of every preset: batches in one ``epoch_order`` per
+    epoch, the schedule's rate scaled from ``hp.eta``, loss and gradients at
+    the current parameters, then ``step_all``, whose StepAllError ends the
+    iteration before step ``t`` is yielded.
+    """
+    for t in range(cfg.steps):
+        epoch, slot = divmod(t, len(batches))
         if slot == 0:
-            order = models.epoch_order(num_batches, seed, epoch)
-        yield t, batches[order[slot]]
+            order = models.epoch_order(len(batches), cfg.seed, epoch)
+        eta_t = eta_at(cfg.schedule, t, cfg.steps, hp.eta)
+        loss, grads = loss_and_grad(spec, _params_as_set(layers), batches[order[slot]])
+        before, layers = layers, step_all(layers, grads, replace(hp, eta=eta_t))
+        yield t, eta_t, loss, grads, before, layers
+
+
+# What stops a run: a failed optimizer step, or a metric of a diverged layer.
+_RUN_ERRORS = (StepAllError, NonFiniteError, ZeroRowError, np.linalg.LinAlgError,
+               ArithmeticError)
+
+
+def _failure(exc: Exception, step: int, layers: list[Layer],
+             where: Optional[str] = None) -> dict:
+    """Where and why a run stopped, after ``step`` steps were consumed.
+
+    A StepAllError comes from ``_train`` stepping ``layers`` as step
+    ``step + 1`` and names its first failed layer; any other error was raised
+    while consuming step ``step``, in layer ``where`` if given.
+    """
+    if isinstance(exc, StepAllError):
+        i, exc = exc.failures[0]
+        step, where = step + 1, layers[i].name
+    return {"step": step, "layer": where, "exception": type(exc).__name__,
+            "message": str(exc)}
+
+
+def _stopped(failure: dict) -> str:
+    return "stopped at step {step}, layer {layer}: {exception}: {message}".format(**failure)
+
+
+def _completed(name: str, summary: dict) -> dict:
+    """Assertion that a run finished every step with a finite final loss."""
+    if "failure" in summary:
+        return {"name": name, "pass": False, "detail": _stopped(summary["failure"])}
+    loss = summary["final_loss"]
+    return {"name": name, "pass": math.isfinite(loss), "detail": f"final loss {loss!r}"}
+
+
+def _make_model(cfg: ExperimentConfig):
+    return models.make_model(cfg.model_kind, cfg.model_dims, cfg.seed,
+                             num_batches=cfg.num_batches, batch_size=cfg.batch_size)
 
 
 def _first_batch(batches: list[Batch], seed: int) -> Batch:
@@ -379,16 +427,11 @@ def _first_batch(batches: list[Batch], seed: int) -> Batch:
     return batches[models.epoch_order(len(batches), seed, 0)[0]]
 
 
-def _params_as_set(spec: ModelSpec, layers: list[Layer]) -> ParamSet:
-    names = {
-        "quadratic": ["W"],
-        "logistic": ["w"],
-        "mlp2": ["W1", "b1", "W2", "b2"],
-    }[spec.kind]
-    by_name = {l.name: l.state.param for l in layers}
+def _params_as_set(layers: list[Layer]) -> ParamSet:
+    """The layers' parameters under their names; models look them up by name."""
     return ParamSet(
-        models.Param(n, by_name[n], "matrix" if by_name[n].ndim == 2 else "elementwise")
-        for n in names
+        models.Param(l.name, l.state.param, "matrix" if l.state.param.ndim == 2 else "elementwise")
+        for l in layers
     )
 
 
@@ -446,12 +489,14 @@ def preset_drift(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
                 fixed_dev = max(fixed_dev, float(dev))
 
         log = run_experiment(run_cfg, sub, probe=probe)
+        if "failure" in log.summary:
+            assertions.append(_completed(f"{label}_run_completed", log.summary))
         for row in log.rows:
             for ci, col in enumerate(log.columns):
                 if col.endswith(".coherence") and row[ci] < 1.0 - 1e-9:
                     coherence_ok = False
 
-    same_start = all(
+    same_start = len(inits) == len(variants) and all(
         all(np.array_equal(a, b) for a, b in zip(inits["muon"], inits[k]))
         for k in ("muown_fixed", "muown")
     )
@@ -503,7 +548,7 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
         for t in range(horizon):
             pset = ParamSet([models.Param("W", state.param, "matrix")])
             loss, grads = loss_and_grad(spec, pset, None)
-            view = view_from_state(state.param, state.g, state.r)
+            view = _view_of(state)
             gg = grad_g(grads[0], view.D)
             gr = grad_R(grads[0], view.g, view.r, view.D)
             dual = dual_norm(gg, gr)
@@ -529,14 +574,8 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
             "detail": f"worst per-step slack {worst_slack:.3e}",
         })
 
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_csv(os.path.join(out_dir, "log.csv"),
-                   ["T", "step", "loss", "grad_dual", "descent_slack"], all_rows)
-        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump({"preset": "rate-check",
-                       "horizons": list(cfg.rate_horizons)}, fh, indent=2,
-                      sort_keys=True)
+    _write_run(out_dir, ["T", "step", "loss", "grad_dual", "descent_slack"], all_rows,
+               {"preset": "rate-check", "horizons": list(cfg.rate_horizons)})
     return _write_verdict(out_dir, "rate-check", assertions)
 
 
@@ -548,50 +587,40 @@ def preset_noise_compare(cfg: ExperimentConfig, out_dir: Optional[str] = None) -
     noise report per matrix layer per checkpoint. The comparison itself is
     empirical, so nothing is asserted about which coefficient is smaller.
     """
-    spec, params, batches = models.make_model(
-        cfg.model_kind, cfg.model_dims, cfg.seed,
-        num_batches=cfg.num_batches, batch_size=cfg.batch_size,
-    )
+    spec, params, batches = _make_model(cfg)
     layers = init_layers(params.named_values(), matrix_kind=cfg.optimizer_kind)
     k = min(cfg.noise_checkpoints, cfg.steps)
     checkpoint_steps = sorted({round((i + 1) * cfg.steps / k) for i in range(k)})
     rows = []
-    for t, batch in _epoch_batches(batches, cfg.seed, cfg.steps):
-        eta_t = eta_at(cfg.schedule, t, cfg.steps, cfg.hp.eta)
-        loss, grads = loss_and_grad(spec, _params_as_set(spec, layers), batch)
-        layers = step_all(layers, grads, replace(cfg.hp, eta=eta_t))
-        if (t + 1) in checkpoint_steps:
-            pset = _params_as_set(spec, layers)
+    step, where, failure = 0, None, None
+    try:
+        for t, _, _, _, _, layers in _train(cfg, spec, layers, batches, cfg.hp):
+            step = t + 1
+            if step not in checkpoint_steps:
+                continue
+            pset = _params_as_set(layers)
             _, true_grads = models.full_dataset_gradient(spec, pset, batches)
             sample_grads = [loss_and_grad(spec, pset, b)[1] for b in batches]
             for i, layer in enumerate(layers):
                 if layer.state.param.ndim != 2:
                     continue
-                state = layer.state
-                if hasattr(state, "g"):
-                    view = view_from_state(state.param, state.g, state.r)
-                else:
-                    view = init_view(state.param)
+                where = layer.name
                 report = noise_coefficients(
-                    true_grads[i], [s[i] for s in sample_grads], view)
-                rows.append([t + 1, layer.name, report.sigma_W, report.sigma_g,
+                    true_grads[i], [s[i] for s in sample_grads], _view_of(layer.state))
+                rows.append([step, layer.name, report.sigma_W, report.sigma_g,
                              report.sigma_R, report.zeta_W, report.zeta_g,
                              report.zeta_R, report.muon_coeff, report.muown_coeff])
-    ok = len(rows) > 0 and all(
+    except _RUN_ERRORS as exc:
+        failure = _failure(exc, step, layers, where)
+    ok = not failure and len(rows) > 0 and all(
         all(math.isfinite(v) and v >= 0.0 for v in r[2:]) for r in rows)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_csv(os.path.join(out_dir, "log.csv"),
-                   ["step", "layer", "sigma_W", "sigma_g", "sigma_R",
-                    "zeta_W", "zeta_g", "zeta_R", "muon_coeff", "muown_coeff"],
-                   rows)
-        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump({"preset": "noise-compare", "reports": len(rows)}, fh,
-                      indent=2, sort_keys=True)
+    _write_run(out_dir, ["step", "layer", "sigma_W", "sigma_g", "sigma_R", "zeta_W",
+                         "zeta_g", "zeta_R", "muon_coeff", "muown_coeff"],
+               rows, {"preset": "noise-compare", "reports": len(rows)})
     assertions = [{
         "name": "noise_reports_computed",
         "pass": bool(ok),
-        "detail": f"{len(rows)} finite nonnegative reports",
+        "detail": _stopped(failure) if failure else f"{len(rows)} finite nonnegative reports",
     }]
     return _write_verdict(out_dir, "noise-compare", assertions)
 
@@ -606,35 +635,29 @@ def preset_lr_sweep(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dic
     rows = []
     # Every cell starts from the same model and data; steps and init_layers
     # copy what they keep, so the arrays are shared read-only across cells.
-    spec, params, batches = models.make_model(
-        cfg.model_kind, cfg.model_dims, cfg.seed,
-        num_batches=cfg.num_batches, batch_size=cfg.batch_size,
-    )
+    spec, params, batches = _make_model(cfg)
     first_batch = _first_batch(batches, cfg.seed)
     for opt_kind in cfg.sweep_optimizers:
         for eta in etas:
             layers = init_layers(params.named_values(), matrix_kind=opt_kind)
-            hp = replace(cfg.hp, eta=eta)
             final_loss = math.inf
             diverged = False
             steps_done = 0
-            for t, batch in _epoch_batches(batches, cfg.seed, cfg.steps):
-                try:
-                    loss, grads = loss_and_grad(spec, _params_as_set(spec, layers), batch)
+            try:
+                # A step is counted when the loss it started from is below
+                # the sentinel; the step taken from a diverged loss is not.
+                for t, _, loss, _, _, stepped in _train(cfg, spec, layers, batches,
+                                                        replace(cfg.hp, eta=eta)):
                     if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
                         diverged = True
                         break
-                    eta_t = eta_at(cfg.schedule, t, cfg.steps, eta)
-                    layers = step_all(layers, grads, replace(hp, eta=eta_t))
-                    steps_done = t + 1
-                    final_loss = loss
-                except (NonFiniteError, ZeroRowError, StepAllError):
-                    diverged = True
-                    break
+                    layers, steps_done, final_loss = stepped, t + 1, loss
+            except (NonFiniteError, ZeroRowError, StepAllError):
+                diverged = True
             if not diverged:
                 try:
                     final_loss, _ = loss_and_grad(
-                        spec, _params_as_set(spec, layers), first_batch)
+                        spec, _params_as_set(layers), first_batch)
                     if not math.isfinite(final_loss) or final_loss > DIVERGENCE_LOSS:
                         diverged = True
                 except (NonFiniteError, ZeroRowError):
@@ -644,14 +667,8 @@ def preset_lr_sweep(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dic
             rows.append([opt_kind, float(eta), float(final_loss), steps_done,
                          int(diverged)])
     expected = len(etas) * len(cfg.sweep_optimizers)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        _write_csv(os.path.join(out_dir, "log.csv"),
-                   ["optimizer", "eta", "final_loss", "steps_done", "diverged"],
-                   rows)
-        with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-            json.dump({"preset": "lr-sweep", "cells": len(rows)}, fh, indent=2,
-                      sort_keys=True)
+    _write_run(out_dir, ["optimizer", "eta", "final_loss", "steps_done", "diverged"],
+               rows, {"preset": "lr-sweep", "cells": len(rows)})
     assertions = [{
         "name": "sweep_complete",
         "pass": len(rows) == expected,
@@ -663,12 +680,7 @@ def preset_lr_sweep(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dic
 def run_preset(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     if cfg.preset == "single":
         log = run_experiment(cfg, out_dir)
-        assertions = [{
-            "name": "run_completed",
-            "pass": math.isfinite(log.summary["final_loss"]),
-            "detail": f"final loss {log.summary['final_loss']!r}",
-        }]
-        return _write_verdict(out_dir, "single", assertions)
+        return _write_verdict(out_dir, "single", [_completed("run_completed", log.summary)])
     if cfg.preset == "drift":
         return preset_drift(cfg, out_dir)
     if cfg.preset == "rate-check":

@@ -1,4 +1,4 @@
-"""Dense float64 linear algebra: norms, SVD, power iteration, row projection.
+"""Dense float64 linear algebra: norms, SVD, row projection.
 
 Matrices are 2-D float64 ndarrays, vectors 1-D; every function here is pure
 and never mutates its arguments. Reductions use numpy's (deterministic)
@@ -9,13 +9,6 @@ equivalence checks elsewhere in the package meaningful.
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import PowerIterationError
-from .rng import SplitMix64
-
-# Seed constant for power-iteration start vectors; mixing in the matrix
-# dimensions makes the result reproducible per shape, bit for bit.
-_POWER_SEED = 0x5EED_0F_B07A_11AD
 
 
 def as_matrix(a) -> np.ndarray:
@@ -36,15 +29,6 @@ def row_norms(a) -> np.ndarray:
     """Euclidean norm of each row; zero rows yield 0."""
     a = as_matrix(a)
     return np.sqrt(np.sum(a * a, axis=1))
-
-
-def diag_scale_rows(v, a) -> np.ndarray:
-    """Diag(v) @ a, i.e. row i of the result is v[i] * row i of a."""
-    v = as_vector(v)
-    a = as_matrix(a)
-    if v.shape[0] != a.shape[0]:
-        raise ValueError(f"scale length {v.shape[0]} != row count {a.shape[0]}")
-    return v[:, None] * a
 
 
 def proj_radial(a, x) -> np.ndarray:
@@ -73,80 +57,6 @@ def singular_values(a) -> np.ndarray:
     return np.linalg.svd(as_matrix(a), compute_uv=False)
 
 
-def spectral_norm(a, tol: float = 1e-12, max_iters: int = 10_000) -> float:
-    """Largest singular value via power iteration on the small-side Gram matrix.
-
-    Deterministically seeded from the matrix dimensions, so repeated calls on
-    equal inputs are bitwise identical. Raises PowerIterationError if the
-    residual test ||B x - lam x|| <= tol * lam is not met within ``max_iters``
-    (a symptom of an extremely clustered top of the spectrum; callers may fall
-    back to ``svd``).
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    a = as_matrix(a)
-    m, n = a.shape
-    b = a @ a.T if m <= n else a.T @ a
-    k = b.shape[0]
-    if not np.any(b):
-        return 0.0
-    rng = SplitMix64(_POWER_SEED ^ (m << 32) ^ n)
-    x = rng.gaussian_array((k,))
-    x /= np.sqrt(np.sum(x * x))
-    lam = 0.0
-    for _ in range(max_iters):
-        y = b @ x
-        ynorm = np.sqrt(np.sum(y * y))
-        if ynorm == 0.0:
-            return 0.0
-        lam = float(x @ y)
-        x = y / ynorm
-        resid = b @ x - lam * x
-        if np.sqrt(np.sum(resid * resid)) <= tol * abs(lam):
-            return float(np.sqrt(max(lam, 0.0)))
-    raise PowerIterationError(
-        f"power iteration did not reach tol={tol} in {max_iters} iterations"
-    )
-
-
-def lambda_max_sym(m_sym, tol: float = 1e-12, max_iters: int = 10_000) -> float:
-    """Largest eigenvalue of a symmetric matrix via shifted power iteration.
-
-    Input must be square and symmetric to 1e-12 relative; it is symmetrized
-    exactly via (M + M^T)/2 before iterating. A Gershgorin shift makes the
-    iteration target the largest (not largest-magnitude) eigenvalue.
-    """
-    m_sym = as_matrix(m_sym)
-    k, k2 = m_sym.shape
-    if k != k2:
-        raise ValueError(f"matrix must be square, got {m_sym.shape}")
-    scale = float(np.max(np.abs(m_sym))) if m_sym.size else 0.0
-    asym = float(np.max(np.abs(m_sym - m_sym.T)))
-    if scale > 0 and asym > 1e-12 * scale:
-        raise ValueError(f"matrix asymmetry {asym:g} exceeds 1e-12 relative tolerance")
-    s = (m_sym + m_sym.T) / 2.0
-    if not np.any(s):
-        return 0.0
-    shift = float(np.max(np.sum(np.abs(s), axis=1)))
-    b = s + shift * np.eye(k)
-    rng = SplitMix64(_POWER_SEED ^ (k << 16) ^ 0x1A)
-    x = rng.gaussian_array((k,))
-    x /= np.sqrt(np.sum(x * x))
-    for _ in range(max_iters):
-        y = b @ x
-        ynorm = np.sqrt(np.sum(y * y))
-        if ynorm == 0.0:
-            return -shift
-        lam = float(x @ y)
-        x = y / ynorm
-        resid = b @ x - lam * x
-        if np.sqrt(np.sum(resid * resid)) <= tol * max(abs(lam), 1e-300):
-            return lam - shift
-    raise PowerIterationError(
-        f"power iteration did not reach tol={tol} in {max_iters} iterations"
-    )
-
-
 def nuclear_norm(a) -> float:
     return float(np.sum(singular_values(a)))
 
@@ -158,8 +68,3 @@ def frobenius_norm(a) -> float:
 
 def vec_l1(v) -> float:
     return float(np.sum(np.abs(as_vector(v))))
-
-
-def vec_linf(v) -> float:
-    v = as_vector(v)
-    return float(np.max(np.abs(v))) if v.size else 0.0

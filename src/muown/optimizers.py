@@ -18,6 +18,14 @@ Six step kinds are provided:
 * ``signum``       - EMA momentum buffer + sign step + decoupled decay
                      (equals SignSGD at beta1 = 0).
 
+The variants share one skeleton, so each step body holds only its magnitude
+rule (Adam, frozen or sign) and its momentum initialization. ``_grad_for``
+checks every kind's gradient; ``_split`` rebuilds the carrier and splits the
+gradient for the three muown kinds; ``_nesterov`` is Muon's direction step,
+used unchanged by ``muon``, ``muown`` and ``muown_fixed``; ``_adam`` is the
+moment update of ``adamw`` and of muown's magnitudes; ``_recompose`` rebuilds
+the effective weight of the muown kinds, with the decoupled decay.
+
 Every step function is pure: it returns a fresh state and never mutates its
 inputs, which is what makes per-layer execution order irrelevant and the
 sharded/replicated equivalence exact.
@@ -33,10 +41,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteError, StepAllError, ZeroRowError
+from .errors import NonFiniteError, StepAllError
 from .linalg import as_matrix, row_norms
 from .orthogonalize import DEFAULT_NS, NSConfig, descent_direction
-from .reparam import EPS_ROW, grad_R, grad_g
+from .reparam import check_rows_nonzero, grad_R, grad_g, view_from_state
 from .serialize import read_record, write_record
 
 
@@ -151,43 +159,33 @@ class SignumState:
     t: int = 0
 
 
-def _check_rows(v: np.ndarray) -> np.ndarray:
-    bad = np.abs(v) <= EPS_ROW
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise ZeroRowError(i, float(v[i]))
-    return v
-
-
 def _checked(arr: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NonFiniteError(f"{what} contains NaN/Inf")
     return arr
 
 
-def _init_magnitudes(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _init_magnitudes(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(W, g, r) of a fresh muown-family state: g = r = ||W||_row."""
     w = as_matrix(w)
-    r = _check_rows(row_norms(w))
-    return r.copy(), r
+    r = check_rows_nonzero(row_norms(w))
+    return w.copy(), r.copy(), r
 
 
 def init_muown(w) -> MuownState:
-    g, r = _init_magnitudes(w)
-    m = np.asarray(w, dtype=np.float64)
-    zeros_v = np.zeros_like(g)
-    return MuownState(param=m.copy(), g=g, r=r, M=np.zeros_like(m),
-                      m_g=zeros_v, v_g=zeros_v.copy(), t=0)
+    w, g, r = _init_magnitudes(w)
+    return MuownState(param=w, g=g, r=r, M=np.zeros_like(w),
+                      m_g=np.zeros_like(g), v_g=np.zeros_like(g), t=0)
 
 
 def init_muown_fixed(w) -> MuownFixedState:
-    g, r = _init_magnitudes(w)
-    m = np.asarray(w, dtype=np.float64)
-    return MuownFixedState(param=m.copy(), g=g, r=r, M=np.zeros_like(m), t=0)
+    w, g, r = _init_magnitudes(w)
+    return MuownFixedState(param=w, g=g, r=r, M=np.zeros_like(w), t=0)
 
 
 def init_muown_signum(w) -> MuownSignumState:
-    g, r = _init_magnitudes(w)
-    return MuownSignumState(param=np.asarray(w, dtype=np.float64).copy(), g=g, r=r)
+    w, g, r = _init_magnitudes(w)
+    return MuownSignumState(param=w, g=g, r=r)
 
 
 def init_muon(w) -> MuonState:
@@ -209,15 +207,49 @@ def init_signum(p) -> SignumState:
 # single-layer steps
 
 
-def _reparam_grads(state, grad_w):
-    """Reconstruct (R, D) from stored (W, g, r) and split the raw gradient."""
-    _check_rows(state.g)
-    _check_rows(state.r)
-    R = (state.r / state.g)[:, None] * state.param
-    D = R / state.r[:, None]
-    gg = grad_g(grad_w, D)
-    gR = grad_R(grad_w, state.g, state.r, D)
-    return R, D, gg, gR
+def _grad_for(state, grad) -> np.ndarray:
+    """The gradient as float64, checked finite and shaped like the parameter."""
+    grad = _checked(np.asarray(grad, dtype=np.float64), "gradient")
+    if grad.shape != state.param.shape:
+        raise ValueError(f"gradient shape {grad.shape} != param shape {state.param.shape}")
+    return grad
+
+
+def _split(state, grad_w):
+    """The carrier R and the gradients (grad_g, grad_R), from the stored (W, g, r)."""
+    view = view_from_state(state.param, state.g, state.r)
+    return view.R, grad_g(grad_w, view.D), grad_R(grad_w, view.g, view.r, view.D)
+
+
+def _nesterov(M_prev, grad, shape, hp: HyperParams):
+    """Muon's direction rule: (new momentum, RMS-scaled orthogonalized Nesterov step)."""
+    M = hp.beta1 * M_prev + grad
+    O = descent_direction(hp.beta1 * M + grad, hp.backend, hp.ns)
+    scale = rms_match_scale(shape) if hp.rms_scale_on else 1.0
+    return M, (scale * hp.eta) * O
+
+
+def _adam(m, v, grad, t: int, hp: HyperParams):
+    """Bias-corrected Adam moments at step ``t`` and the step they give."""
+    m = hp.adam_beta1 * m + (1.0 - hp.adam_beta1) * grad
+    v = hp.adam_beta2 * v + (1.0 - hp.adam_beta2) * (grad * grad)
+    mhat = m / (1.0 - hp.adam_beta1 ** t)
+    vhat = v / (1.0 - hp.adam_beta2 ** t)
+    return m, v, hp.eta * mhat / (np.sqrt(vhat) + hp.adam_eps)
+
+
+def _recompose(state, g, R, hp: HyperParams):
+    """(W, g, r) with W = Diag(g / ||R||_row) R minus the decoupled decay of the old W.
+
+    With decay, g is refreshed to the new row norms so the |g| = ||W||_row
+    invariant survives.
+    """
+    r = check_rows_nonzero(row_norms(R))
+    w_new = (g / r)[:, None] * R
+    if hp.weight_decay != 0.0:
+        w_new = w_new - (hp.eta * hp.weight_decay) * state.param
+        g = check_rows_nonzero(row_norms(w_new))
+    return _checked(w_new, "updated param"), g, r
 
 
 def muown_step(state: MuownState, grad_w, hp: HyperParams) -> MuownState:
@@ -226,34 +258,14 @@ def muown_step(state: MuownState, grad_w, hp: HyperParams) -> MuownState:
     Order of operations: reconstruct the carrier, split the gradient, update
     the direction momentum and take the spectral-ball step (optionally scaled
     by 0.2*sqrt(max(m, n))), run bias-corrected Adam on g, recompute the
-    carrier row norms, and recompose the effective weight. With decoupled
-    weight decay the recomposition subtracts eta*lambda*W_old and g is
-    refreshed to the new row norms so the |g| = ||W||_row invariant survives.
+    carrier row norms, and recompose the effective weight.
     """
-    grad_w = _checked(as_matrix(grad_w), "gradient")
-    if grad_w.shape != state.param.shape:
-        raise ValueError(f"gradient shape {grad_w.shape} != weight shape {state.param.shape}")
-    R, D, gg, gR = _reparam_grads(state, grad_w)
-
-    M = hp.beta1 * state.M + gR
-    O = descent_direction(hp.beta1 * M + gR, hp.backend, hp.ns)
-    scale = rms_match_scale(state.param.shape) if hp.rms_scale_on else 1.0
-    R = R + (scale * hp.eta) * O
-
+    grad_w = _grad_for(state, grad_w)
+    R, gg, gR = _split(state, grad_w)
+    M, step = _nesterov(state.M, gR, state.param.shape, hp)
     t = state.t + 1
-    m_g = hp.adam_beta1 * state.m_g + (1.0 - hp.adam_beta1) * gg
-    v_g = hp.adam_beta2 * state.v_g + (1.0 - hp.adam_beta2) * (gg * gg)
-    mhat = m_g / (1.0 - hp.adam_beta1 ** t)
-    vhat = v_g / (1.0 - hp.adam_beta2 ** t)
-    g = state.g - hp.eta * mhat / (np.sqrt(vhat) + hp.adam_eps)
-
-    r = _check_rows(row_norms(R))
-    if hp.weight_decay == 0.0:
-        w_new = (g / r)[:, None] * R
-    else:
-        w_new = (g / r)[:, None] * R - (hp.eta * hp.weight_decay) * state.param
-        g = _check_rows(row_norms(w_new))
-    _checked(w_new, "updated weight")
+    m_g, v_g, delta = _adam(state.m_g, state.v_g, gg, t, hp)
+    w_new, g, r = _recompose(state, state.g - delta, R + step, hp)
     return MuownState(param=w_new, g=g, r=r, M=M, m_g=m_g, v_g=v_g, t=t)
 
 
@@ -262,20 +274,11 @@ def muown_fixed_step(state: MuownFixedState, grad_w, hp: HyperParams) -> MuownFi
     if hp.weight_decay != 0.0:
         raise ValueError("weight decay would unfreeze the row magnitudes; "
                          "muown_fixed requires weight_decay == 0")
-    grad_w = _checked(as_matrix(grad_w), "gradient")
-    if grad_w.shape != state.param.shape:
-        raise ValueError(f"gradient shape {grad_w.shape} != weight shape {state.param.shape}")
-    R, D, gg, gR = _reparam_grads(state, grad_w)
-
-    M = hp.beta1 * state.M + gR
-    O = descent_direction(hp.beta1 * M + gR, hp.backend, hp.ns)
-    scale = rms_match_scale(state.param.shape) if hp.rms_scale_on else 1.0
-    R = R + (scale * hp.eta) * O
-
-    r = _check_rows(row_norms(R))
-    w_new = (state.g / r)[:, None] * R
-    _checked(w_new, "updated weight")
-    return MuownFixedState(param=w_new, g=state.g, r=r, M=M, t=state.t + 1)
+    grad_w = _grad_for(state, grad_w)
+    R, _, gR = _split(state, grad_w)
+    M, step = _nesterov(state.M, gR, state.param.shape, hp)
+    w_new, g, r = _recompose(state, state.g, R + step, hp)
+    return MuownFixedState(param=w_new, g=g, r=r, M=M, t=state.t + 1)
 
 
 def muown_signum_step(state: MuownSignumState, grad_w, hp: HyperParams) -> MuownSignumState:
@@ -285,91 +288,55 @@ def muown_signum_step(state: MuownSignumState, grad_w, hp: HyperParams) -> Muown
     direction step has no Nesterov mixing and no RMS-matching factor; the
     magnitude step is g <- g - gamma * sgn(m) with sgn(0) = 0.
     """
-    grad_w = _checked(as_matrix(grad_w), "gradient")
-    if grad_w.shape != state.param.shape:
-        raise ValueError(f"gradient shape {grad_w.shape} != weight shape {state.param.shape}")
-    R, D, gg, gR = _reparam_grads(state, grad_w)
-
-    M_prev = gR if state.M is None else state.M
-    m_prev = gg if state.m is None else state.m
-    M = hp.beta1 * M_prev + gR
-    O = descent_direction(M, hp.backend, hp.ns)
-    R = R + hp.eta * O
-
-    m = hp.beta1 * m_prev + gg
+    grad_w = _grad_for(state, grad_w)
+    R, gg, gR = _split(state, grad_w)
+    M = hp.beta1 * (gR if state.M is None else state.M) + gR
+    m = hp.beta1 * (gg if state.m is None else state.m) + gg
+    R = R + hp.eta * descent_direction(M, hp.backend, hp.ns)
     gamma = hp.eta if hp.gamma is None else hp.gamma
-    g = state.g - gamma * np.sign(m)
-
-    r = _check_rows(row_norms(R))
-    if hp.weight_decay == 0.0:
-        w_new = (g / r)[:, None] * R
-    else:
-        w_new = (g / r)[:, None] * R - (hp.eta * hp.weight_decay) * state.param
-        g = _check_rows(row_norms(w_new))
-    _checked(w_new, "updated weight")
+    w_new, g, r = _recompose(state, state.g - gamma * np.sign(m), R, hp)
     return MuownSignumState(param=w_new, g=g, r=r, M=M, m=m, t=state.t + 1)
 
 
 def muon_step(state: MuonState, grad_w, hp: HyperParams) -> MuonState:
     """Spectral steepest descent with simplified Nesterov momentum."""
-    grad_w = _checked(as_matrix(grad_w), "gradient")
-    if grad_w.shape != state.param.shape:
-        raise ValueError(f"gradient shape {grad_w.shape} != weight shape {state.param.shape}")
-    M = hp.beta1 * state.M + grad_w
-    O = descent_direction(hp.beta1 * M + grad_w, hp.backend, hp.ns)
-    scale = rms_match_scale(state.param.shape) if hp.rms_scale_on else 1.0
-    w_new = state.param + (scale * hp.eta) * O - (hp.eta * hp.weight_decay) * state.param
-    _checked(w_new, "updated weight")
-    return MuonState(param=w_new, M=M, t=state.t + 1)
+    grad_w = _grad_for(state, grad_w)
+    M, step = _nesterov(state.M, grad_w, state.param.shape, hp)
+    w_new = state.param + step - (hp.eta * hp.weight_decay) * state.param
+    return MuonState(param=_checked(w_new, "updated param"), M=M, t=state.t + 1)
 
 
 def adamw_step(state: AdamWState, grad, hp: HyperParams) -> AdamWState:
     """Bias-corrected AdamW with decoupled weight decay; any parameter shape."""
-    grad = _checked(np.asarray(grad, dtype=np.float64), "gradient")
-    if grad.shape != state.param.shape:
-        raise ValueError(f"gradient shape {grad.shape} != param shape {state.param.shape}")
+    grad = _grad_for(state, grad)
     t = state.t + 1
-    m = hp.adam_beta1 * state.m + (1.0 - hp.adam_beta1) * grad
-    v = hp.adam_beta2 * state.v + (1.0 - hp.adam_beta2) * (grad * grad)
-    mhat = m / (1.0 - hp.adam_beta1 ** t)
-    vhat = v / (1.0 - hp.adam_beta2 ** t)
-    p = state.param - hp.eta * mhat / (np.sqrt(vhat) + hp.adam_eps) \
-        - (hp.eta * hp.weight_decay) * state.param
-    _checked(p, "updated param")
-    return AdamWState(param=p, m=m, v=v, t=t)
+    m, v, delta = _adam(state.m, state.v, grad, t, hp)
+    p = state.param - delta - (hp.eta * hp.weight_decay) * state.param
+    return AdamWState(param=_checked(p, "updated param"), m=m, v=v, t=t)
 
 
 def signum_step(state: SignumState, grad, hp: HyperParams) -> SignumState:
     """EMA momentum + sign step (SignSGD when beta1 = 0) + decoupled decay."""
-    grad = _checked(np.asarray(grad, dtype=np.float64), "gradient")
-    if grad.shape != state.param.shape:
-        raise ValueError(f"gradient shape {grad.shape} != param shape {state.param.shape}")
+    grad = _grad_for(state, grad)
     m = hp.beta1 * state.m + (1.0 - hp.beta1) * grad
     p = state.param - hp.eta * np.sign(m) - (hp.eta * hp.weight_decay) * state.param
-    _checked(p, "updated param")
-    return SignumState(param=p, m=m, t=state.t + 1)
+    return SignumState(param=_checked(p, "updated param"), m=m, t=state.t + 1)
 
 
 # --------------------------------------------------------------------------
 # multi-layer driver
 
-INIT_FNS = {
-    "muown": init_muown,
-    "muown_fixed": init_muown_fixed,
-    "muown_signum": init_muown_signum,
-    "muon": init_muon,
-    "adamw": init_adamw,
-    "signum": init_signum,
+# kind -> (state type, init, step); a state's field order is its checkpoint record order
+_KINDS = {
+    "muown": (MuownState, init_muown, muown_step),
+    "muown_fixed": (MuownFixedState, init_muown_fixed, muown_fixed_step),
+    "muown_signum": (MuownSignumState, init_muown_signum, muown_signum_step),
+    "muon": (MuonState, init_muon, muon_step),
+    "adamw": (AdamWState, init_adamw, adamw_step),
+    "signum": (SignumState, init_signum, signum_step),
 }
-
-STEP_FNS = {
-    "muown": muown_step,
-    "muown_fixed": muown_fixed_step,
-    "muown_signum": muown_signum_step,
-    "muon": muon_step,
-    "adamw": adamw_step,
-    "signum": signum_step,
-}
+INIT_FNS = {kind: init for kind, (_, init, _) in _KINDS.items()}
+STEP_FNS = {kind: step for kind, (_, _, step) in _KINDS.items()}
 
 MATRIX_KINDS = ("muown", "muown_fixed", "muown_signum", "muon")
 
@@ -381,11 +348,12 @@ class Layer:
     state: object
 
 
-def init_layers(named_params, matrix_kind: str = "muown",
-                vector_kind: str = "adamw") -> list[Layer]:
-    """Route (name, array) pairs: 2-D params to ``matrix_kind``, 1-D to ``vector_kind``."""
+def init_layers(named_params, matrix_kind: str = "muown") -> list[Layer]:
+    """Route (name, array) pairs: 2-D params to ``matrix_kind``, the rest to
+    signum when ``matrix_kind`` is signum and to adamw otherwise."""
     if matrix_kind not in INIT_FNS:
         raise ValueError(f"unknown optimizer kind {matrix_kind!r}")
+    vector_kind = "signum" if matrix_kind == "signum" else "adamw"
     layers = []
     for name, arr in named_params:
         arr = np.asarray(arr, dtype=np.float64)
@@ -455,16 +423,6 @@ def save_checkpoint(dirpath, layers, hp: HyperParams) -> None:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
 
 
-_STATE_TYPES = {
-    "muown": MuownState,
-    "muown_fixed": MuownFixedState,
-    "muown_signum": MuownSignumState,
-    "muon": MuonState,
-    "adamw": AdamWState,
-    "signum": SignumState,
-}
-
-
 def load_checkpoint(dirpath) -> tuple[list[Layer], dict]:
     stems = sorted(
         f[:-5] for f in os.listdir(dirpath)
@@ -484,6 +442,6 @@ def load_checkpoint(dirpath) -> tuple[list[Layer], dict]:
                     continue
                 rec = read_record(fh)
                 values[spec["name"]] = rec.ravel() if spec["ndim"] == 1 else rec
-        state = _STATE_TYPES[meta["kind"]](t=meta["t"], **values)
+        state = _KINDS[meta["kind"]][0](t=meta["t"], **values)
         layers.append(Layer(name=meta["name"], kind=meta["kind"], state=state))
     return layers, hp_dict

@@ -26,7 +26,9 @@ from .linalg import as_matrix, as_vector, proj_radial, row_norms
 EPS_ROW = 1e-30
 
 
-def _check_rows_nonzero(norms: np.ndarray) -> np.ndarray:
+def check_rows_nonzero(norms: np.ndarray) -> np.ndarray:
+    """Return ``norms`` unchanged, or raise ZeroRowError naming the first row
+    whose magnitude is at or below ``EPS_ROW``."""
     bad = np.abs(norms) <= EPS_ROW
     if np.any(bad):
         i = int(np.argmax(bad))
@@ -51,7 +53,7 @@ def init_view(w) -> ReparamView:
     so ``recompose`` reproduces W bitwise at initialization.
     """
     w = as_matrix(w)
-    r = _check_rows_nonzero(row_norms(w))
+    r = check_rows_nonzero(row_norms(w))
     d = w / r[:, None]
     return ReparamView(g=r.copy(), r=r, R=w.copy(), D=d)
 
@@ -66,8 +68,8 @@ def view_from_state(w, g, r) -> ReparamView:
     w = as_matrix(w)
     g = as_vector(g)
     r = as_vector(r)
-    _check_rows_nonzero(g)
-    _check_rows_nonzero(r)
+    check_rows_nonzero(g)
+    check_rows_nonzero(r)
     big_r = (r / g)[:, None] * w
     d = big_r / r[:, None]
     return ReparamView(g=g, r=r, R=big_r, D=d)
@@ -79,7 +81,7 @@ def recompose(g, big_r) -> np.ndarray:
     big_r = as_matrix(big_r)
     if g.shape[0] != big_r.shape[0]:
         raise ValueError(f"g length {g.shape[0]} != R rows {big_r.shape[0]}")
-    r = _check_rows_nonzero(row_norms(big_r))
+    r = check_rows_nonzero(row_norms(big_r))
     return (g / r)[:, None] * big_r
 
 
@@ -96,7 +98,7 @@ def grad_R(grad_w, g, r, d) -> np.ndarray:
     """Direction gradient Diag(g/r) @ Proj_D(grad_w); rows orthogonal to D rows."""
     g = as_vector(g)
     r = as_vector(r)
-    _check_rows_nonzero(r)
+    check_rows_nonzero(r)
     if g.shape != r.shape:
         raise ValueError("g and r must have equal length")
     return (g / r)[:, None] * proj_radial(grad_w, d)

@@ -266,11 +266,8 @@ def test_08_sharded_execution_bitwise_equivalent():
                      "signum"):
             spec, params, batches = make_model("mlp2", dims, seed=8,
                                                num_batches=4, batch_size=6)
-            vector_kind = "signum" if kind == "signum" else "adamw"
-            replicated = init_layers(params.named_values(), matrix_kind=kind,
-                                     vector_kind=vector_kind)
-            sharded = {r: init_layers(params.named_values(), matrix_kind=kind,
-                                      vector_kind=vector_kind)
+            replicated = init_layers(params.named_values(), matrix_kind=kind)
+            sharded = {r: init_layers(params.named_values(), matrix_kind=kind)
                        for r in (1, 2, 3, 8)}
             plans = {r: make_plan(len(replicated), r) for r in sharded}
             traffic_per_rank = {}

@@ -1,9 +1,14 @@
 import json
 import math
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from muown import harness
 from muown.cli import main as cli_main
 from muown.errors import ConfigError
 from muown.harness import (
@@ -59,6 +64,17 @@ class TestConfig:
     def test_missing_dims(self):
         with pytest.raises(ConfigError, match="model.dims"):
             config_from_dict({"model": {"kind": "quadratic"}})
+
+    def test_partial_dims_merge_over_default_kind(self, tmp_path):
+        cfg = config_from_dict({"model": {"dims": {"hidden": 16}}, "steps": 2})
+        assert cfg.model_dims == {"d_in": 6, "hidden": 16, "d_out": 4}
+        assert run_experiment(cfg).final_layers[0].state.param.shape == (16, 6)
+        rc = cli_main(["run", "single", "--set", "model.dims.hidden=16",
+                       "--set", "steps=2", "--out", str(tmp_path / "x")])
+        assert rc == 0
+        # another kind does not inherit mlp2's dims
+        with pytest.raises(ConfigError, match="model.dims"):
+            config_from_dict({"model": {"kind": "quadratic", "dims": {"m": 3}}})
 
     def test_overrides(self):
         raw = {"steps": 5, "optimizer": {"eta": 0.1}}
@@ -138,7 +154,7 @@ class TestPresets:
             num_batches=2, batch_size=4)
         layers = init_layers(params.named_values())
         same = [batches[0], batches[0]]
-        pset = _params_as_set(spec, layers)
+        pset = _params_as_set(layers)
         _, true_grads = mmodels.full_dataset_gradient(spec, pset, same)
         sample_grads = [mmodels.loss_and_grad(spec, pset, b)[1] for b in same]
         for i, layer in enumerate(layers):
@@ -182,6 +198,27 @@ class TestPresets:
                                sweep_optimizers=("muown", "muon", "adamw"))
         verdict = preset_lr_sweep(cfg, None)
         assert verdict["assertions"][0]["detail"] == "6 cells of 6"
+
+
+class TestVectorRouting:
+    @pytest.mark.parametrize("preset, sets", [
+        ("single", {"optimizer": {"kind": "signum"}}),
+        ("noise-compare", {"optimizer": {"kind": "signum"}}),
+        ("lr-sweep", {"lr_sweep": {"optimizers": ["signum"], "log2_min": -6,
+                                   "log2_max": -6}}),
+    ])
+    def test_signum_steps_vector_params_with_signum(self, monkeypatch, preset, sets):
+        kinds = set()
+        inner = harness.step_all
+
+        def spy(layers, grads, hp):
+            kinds.update(l.kind for l in layers if l.state.param.ndim == 1)
+            return inner(layers, grads, hp)
+
+        monkeypatch.setattr(harness, "step_all", spy)
+        cfg = config_from_dict({"steps": 4, **sets}, preset=preset)
+        assert run_preset(cfg, None)["pass"]
+        assert kinds == {"signum"}
 
 
 class TestCli:
@@ -231,3 +268,25 @@ class TestCli:
         a = (tmp_path / "r1" / "log.csv").read_bytes()
         b = (tmp_path / "r2" / "log.csv").read_bytes()
         assert a == b
+
+    @pytest.mark.parametrize("sets", [
+        # the per-step metrics of a 1e300-sized weight fail
+        ["optimizer.kind=adamw", "optimizer.eta=1e300", "steps=5"],
+        # no metrics: the second optimizer step fails
+        ["optimizer.eta=1e300", "steps=5", "log_every=100"],
+    ])
+    def test_failed_run_exits_1_with_a_verdict(self, tmp_path, sets):
+        argv = [sys.executable, "-m", "muown.cli", "run", "single"]
+        for item in sets:
+            argv += ["--set", item]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(argv + ["--out", str(tmp_path)], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert re.search(r"\[FAIL\] run_completed: stopped at step \d+, layer W[12]: "
+                         r"\w+Error: ", proc.stdout), proc.stdout
+        failure = json.load(open(tmp_path / "summary.json"))["failure"]
+        assert failure["layer"] in ("W1", "W2")
+        assert not json.load(open(tmp_path / "verdict.json"))["pass"]

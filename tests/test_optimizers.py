@@ -74,6 +74,61 @@ def straight_line_alg1(w0, grad_seq, eta, lam, beta1, ab1, ab2, eps, scale_on):
     return w, g, r, big_m, m_g, v_g
 
 
+
+def _polar_descent(mix):
+    """-U V^T of the thin SVD, zero for a zero input (the polar backend)."""
+    if not mix.any():
+        return np.zeros_like(mix)
+    u, _, vt = np.linalg.svd(mix, full_matrices=False)
+    return -(u @ vt)
+
+
+def straight_line_fixed(w0, grad_seq, eta, beta1, scale_on):
+    """Line-by-line frozen-magnitude step: the muown direction update, g never moves."""
+    m, n = w0.shape
+    w = w0.copy()
+    g = np.sqrt(np.sum(w * w, axis=1))
+    r = g.copy()
+    big_m = np.zeros_like(w)
+    for grad_w in grad_seq:
+        big_r = (r / g)[:, None] * w
+        d = big_r / r[:, None]
+        g_r = (g / r)[:, None] * (grad_w - np.sum(grad_w * d, axis=1)[:, None] * d)
+        big_m = beta1 * big_m + g_r
+        sc = 0.2 * np.sqrt(max(m, n)) if scale_on else 1.0
+        big_r = big_r + (sc * eta) * _polar_descent(beta1 * big_m + g_r)
+        r = np.sqrt(np.sum(big_r * big_r, axis=1))
+        w = (g / r)[:, None] * big_r
+    return w, g, r, big_m
+
+
+def straight_line_signum(w0, grad_seq, eta, gamma, beta1, lam):
+    """Line-by-line sign-descent variant: momenta start at the first gradient,
+    plain momentum direction step, sign step on g, optional decoupled decay."""
+    w = w0.copy()
+    g = np.sqrt(np.sum(w * w, axis=1))
+    r = g.copy()
+    big_m = mom = None
+    for grad_w in grad_seq:
+        big_r = (r / g)[:, None] * w
+        d = big_r / r[:, None]
+        gg = np.sum(grad_w * d, axis=1)
+        g_r = (g / r)[:, None] * (grad_w - np.sum(grad_w * d, axis=1)[:, None] * d)
+        if big_m is None:
+            big_m, mom = g_r, gg
+        big_m = beta1 * big_m + g_r
+        mom = beta1 * mom + gg
+        big_r = big_r + eta * _polar_descent(big_m)
+        g = g - gamma * np.sign(mom)
+        r = np.sqrt(np.sum(big_r * big_r, axis=1))
+        if lam == 0.0:
+            w = (g / r)[:, None] * big_r
+        else:
+            w_old = w
+            w = (g / r)[:, None] * big_r - (eta * lam) * w_old
+            g = np.sqrt(np.sum(w * w, axis=1))
+    return w, g, r, big_m, mom
+
 class TestMuownStep:
     def test_zero_gradient_is_a_fixpoint_at_init(self, rng):
         w0 = rng.standard_normal((3, 2))
@@ -149,6 +204,21 @@ class TestMuownFixed:
             st = muown_fixed_step(st, 2.5 * d, POLAR)
         assert np.array_equal(st.param, w0)
 
+    @pytest.mark.parametrize("scale_on", [True, False])
+    def test_bitwise_match_with_straight_line_transcription(self, rng, scale_on):
+        w0 = rng.standard_normal((3, 2))
+        grads = [rng.standard_normal((3, 2)) for _ in range(3)]
+        hp = HyperParams(eta=0.05, beta1=0.9, backend="polar", rms_scale_on=scale_on)
+        st = init_muown_fixed(w0)
+        for g in grads:
+            st = muown_fixed_step(st, g, hp)
+        w, g, r, big_m = straight_line_fixed(w0, grads, eta=0.05, beta1=0.9,
+                                             scale_on=scale_on)
+        assert bitwise_equal(st.param, w)
+        assert bitwise_equal(st.g, g)
+        assert bitwise_equal(st.r, r)
+        assert bitwise_equal(st.M, big_m)
+
     def test_weight_decay_rejected(self, rng):
         st = init_muown_fixed(rng.standard_normal((2, 2)))
         with pytest.raises(ValueError, match="weight decay"):
@@ -204,6 +274,24 @@ class TestMuownSignum:
         gg = grad_g(grad, view.D)
         assert np.allclose(st.M, 1.5 * g_r, rtol=1e-14)
         assert np.allclose(st.m, 1.5 * gg, rtol=1e-14)
+
+    @pytest.mark.parametrize("beta1,lam", [(0.0, 0.0), (0.9, 0.0), (0.9, 0.07)])
+    def test_bitwise_match_with_straight_line_transcription(self, rng, beta1, lam):
+        # three steps: the first starts from the None momenta
+        w0 = rng.standard_normal((3, 2))
+        grads = [rng.standard_normal((3, 2)) for _ in range(3)]
+        hp = HyperParams(eta=0.05, gamma=0.02, beta1=beta1, weight_decay=lam,
+                         backend="polar")
+        st = init_muown_signum(w0)
+        for g in grads:
+            st = muown_signum_step(st, g, hp)
+        w, g, r, big_m, mom = straight_line_signum(w0, grads, eta=0.05, gamma=0.02,
+                                                   beta1=beta1, lam=lam)
+        assert bitwise_equal(st.param, w)
+        assert bitwise_equal(st.g, g)
+        assert bitwise_equal(st.r, r)
+        assert bitwise_equal(st.M, big_m)
+        assert bitwise_equal(st.m, mom)
 
     def test_direction_step_spectral_norm_equals_eta(self, rng):
         hp = HyperParams(eta=0.03, beta1=0.9, backend="polar")
@@ -329,6 +417,27 @@ class TestDriver:
         layers = init_layers([("a", rng.standard_normal((2, 2)))])
         with pytest.raises(ValueError):
             step_all(layers, [], POLAR)
+
+
+class TestPurity:
+    @pytest.mark.parametrize("kind", ["muown", "muown_fixed", "muown_signum",
+                                      "muon", "adamw", "signum"])
+    def test_step_mutates_neither_grad_nor_state(self, rng, kind):
+        lam = 0.0 if kind == "muown_fixed" else 0.03
+        hp = HyperParams(eta=0.05, weight_decay=lam, beta1=0.9)
+        layer = init_layers([("W", rng.standard_normal((4, 3)))], matrix_kind=kind)[0]
+        # the second step sees a state whose momenta are all arrays
+        for _ in range(2):
+            grad = rng.standard_normal((4, 3))
+            grad_before = grad.copy()
+            arrays = {f: getattr(layer.state, f) for f in vars(layer.state)
+                      if isinstance(getattr(layer.state, f), np.ndarray)}
+            copies = {f: a.copy() for f, a in arrays.items()}
+            stepped = step_layer(layer, grad, hp)
+            assert bitwise_equal(grad, grad_before)
+            for f, a in arrays.items():
+                assert bitwise_equal(a, copies[f]), f
+            layer = stepped
 
 
 class TestStartPointEquivalence:

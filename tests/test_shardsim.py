@@ -35,10 +35,7 @@ class TestMakePlan:
 def _mlp_problem(matrix_kind, seed=4):
     spec, params, batches = make_model("mlp2", MLP_DIMS, seed=seed,
                                        num_batches=4, batch_size=6)
-    vector_kind = "signum" if matrix_kind == "signum" else (
-        matrix_kind if matrix_kind in ("adamw", "signum") else "adamw")
-    layers = init_layers(params.named_values(), matrix_kind=matrix_kind,
-                         vector_kind=vector_kind)
+    layers = init_layers(params.named_values(), matrix_kind=matrix_kind)
     return spec, layers, batches
 
 
