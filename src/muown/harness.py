@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -27,12 +28,10 @@ from .optimizers import (
     INIT_FNS,
     HyperParams,
     Layer,
-    MATRIX_KINDS,
     init_layers,
     save_checkpoint,
     step_all,
 )
-from .orthogonalize import NSConfig
 from .reparam import ReparamView, grad_R, grad_g, init_view, view_from_state
 from .schedule import ScheduleSpec, eta_at
 
@@ -65,161 +64,151 @@ class ExperimentConfig:
     noise_checkpoints: int = 4
 
     def __post_init__(self):
-        if self.preset not in PRESETS:
-            raise ConfigError(f"preset: unknown preset {self.preset!r}; choose from {PRESETS}")
-        if self.steps < 1:
-            raise ConfigError(f"steps: must be >= 1, got {self.steps}")
-        if self.log_every < 1:
-            raise ConfigError(f"log_every: must be >= 1, got {self.log_every}")
-        if self.checkpoint_every < 0:
-            raise ConfigError("checkpoint_every: must be >= 0")
-        if self.model_kind not in models.MODEL_KINDS:
-            raise ConfigError(f"model.kind: unknown kind {self.model_kind!r}")
-        if self.optimizer_kind not in INIT_FNS:
-            raise ConfigError(f"optimizer.kind: unknown kind {self.optimizer_kind!r}")
-        if self.num_batches < 1 or self.batch_size < 1:
-            raise ConfigError("model.num_batches and model.batch_size must be >= 1")
-        if self.sweep_log2_max < self.sweep_log2_min:
-            raise ConfigError("lr_sweep: log2_max must be >= log2_min")
-        if not self.rate_horizons or min(self.rate_horizons) < 1:
-            raise ConfigError(
-                f"rate_check.horizons: need one or more horizons >= 1, got {list(self.rate_horizons)}")
-        if self.noise_checkpoints < 1:
-            raise ConfigError("noise.checkpoints: must be >= 1")
+        _require(self.preset in PRESETS, "preset",
+                 f"unknown preset {self.preset!r}; choose from {PRESETS}")
+        for name, low in (("steps", 1), ("log_every", 1), ("checkpoint_every", 0),
+                          ("num_batches", 1), ("batch_size", 1), ("noise_checkpoints", 1)):
+            value = getattr(self, name)
+            _require(value >= low, name, f"must be >= {low}, got {value}")
+        _require(self.model_kind in models.MODEL_KINDS, "model_kind",
+                 f"unknown kind {self.model_kind!r}")
+        _require(self.optimizer_kind in INIT_FNS, "optimizer_kind",
+                 f"unknown kind {self.optimizer_kind!r}")
         for kind in self.sweep_optimizers:
-            if kind not in INIT_FNS:
-                raise ConfigError(f"lr_sweep.optimizers: unknown kind {kind!r}")
-        required_dims = {"quadratic": ("m", "n"), "logistic": ("features",),
-                         "mlp2": ("d_in", "hidden", "d_out")}[self.model_kind]
-        missing = [k for k in required_dims if k not in self.model_dims]
-        if missing:
-            raise ConfigError(
-                f"model.dims: missing {missing} for kind {self.model_kind!r}")
-        small = [k for k in required_dims if self.model_dims[k] < 1]
-        if small:
-            raise ConfigError(f"model.dims: {small} must be >= 1")
+            _require(kind in INIT_FNS, "sweep_optimizers", f"unknown kind {kind!r}")
+        _require(self.sweep_log2_max >= self.sweep_log2_min, "sweep_log2_max",
+                 f"must be >= log2_min {self.sweep_log2_min}, got {self.sweep_log2_max}")
+        _require(bool(self.rate_horizons) and min(self.rate_horizons) >= 1, "rate_horizons",
+                 f"need one or more horizons >= 1, got {list(self.rate_horizons)}")
+        required = _MODEL_DIMS[self.model_kind]
+        missing = [k for k in required if k not in self.model_dims]
+        _require(not missing, "model_dims", f"missing {missing} for kind {self.model_kind!r}")
+        for k, size in self.model_dims.items():
+            _require(k in required, "model_dims", f"not a dimension of kind "
+                     f"{self.model_kind!r}; expected {list(required)}", f".{k}")
+            _require(size >= 1, "model_dims", f"must be >= 1, got {size}", f".{k}")
+
+
+def _require(ok: bool, target: str, why: str, suffix: str = "") -> None:
+    """Unless ``ok``, raise a ConfigError naming the JSON path of config field ``target``."""
+    if not ok:
+        raise ConfigError(f"{_PATH_OF[target]}{suffix}: {why}")
+
+
+# The config file schema: JSON leaf path -> (ExperimentConfig attribute path, JSON
+# type). ``hp.ns.steps`` is ``cfg.hp.ns.steps``; an absent path keeps the default.
+_SCHEMA = {
+    "preset": ("preset", str),
+    "seed": ("seed", int),
+    "steps": ("steps", int),
+    "log_every": ("log_every", int),
+    "checkpoint_every": ("checkpoint_every", int),
+    "model.kind": ("model_kind", str),
+    "model.dims": ("model_dims", dict),
+    "model.num_batches": ("num_batches", int),
+    "model.batch_size": ("batch_size", int),
+    "optimizer.kind": ("optimizer_kind", str),
+    "optimizer.eta": ("hp.eta", float),
+    "optimizer.weight_decay": ("hp.weight_decay", float),
+    "optimizer.beta1": ("hp.beta1", float),
+    "optimizer.adam_beta1": ("hp.adam_beta1", float),
+    "optimizer.adam_beta2": ("hp.adam_beta2", float),
+    "optimizer.adam_eps": ("hp.adam_eps", float),
+    "optimizer.gamma": ("hp.gamma", Optional[float]),
+    "optimizer.backend": ("hp.backend", str),
+    "optimizer.rms_scale_on": ("hp.rms_scale_on", bool),
+    "optimizer.ns_steps": ("hp.ns.steps", int),
+    "optimizer.ns_coeffs": ("hp.ns.coeffs", [float]),
+    "schedule.kind": ("schedule.kind", str),
+    "schedule.warmup_frac": ("schedule.warmup_frac", float),
+    "schedule.decay_frac": ("schedule.decay_frac", float),
+    "schedule.floor": ("schedule.floor", float),
+    "rate_check.horizons": ("rate_horizons", [int]),
+    "lr_sweep.log2_min": ("sweep_log2_min", int),
+    "lr_sweep.log2_max": ("sweep_log2_max", int),
+    "lr_sweep.optimizers": ("sweep_optimizers", [str]),
+    "noise.checkpoints": ("noise_checkpoints", int),
+}
+_PATH_OF = {target: path for path, (target, _) in _SCHEMA.items()}
+_SECTIONS = {path.rpartition(".")[0] for path in _SCHEMA} - {""}
+_MODEL_DIMS = {"quadratic": ("m", "n"), "logistic": ("features",),
+               "mlp2": ("d_in", "hidden", "d_out")}
+
+# Scalar JSON types: (accepts, description). A bool is not a number; an int is a float.
+_SCALARS = {
+    int: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+            "a finite number"),
+    str: (lambda v: type(v) is str, "a string"),
+    bool: (lambda v: type(v) is bool, "true or false"),
+}
+
+
+def _check(path: str, value, kind):
+    """``value`` as the config holds it, if it has JSON type ``kind``: a scalar type,
+    ``[t]`` (a non-empty list of t, held as a tuple), ``dict`` (an object of integers)
+    or ``Optional[float]`` (a float or null); else a ConfigError naming ``path``."""
+    if kind == Optional[float]:
+        return None if value is None else _check(path, value, float)
+    if isinstance(kind, list):
+        if type(value) is list and value:
+            return tuple(_check(f"{path}[{i}]", v, kind[0]) for i, v in enumerate(value))
+        what = "a non-empty list"
+    elif kind is dict:
+        if type(value) is dict:
+            return {k: _check(f"{path}.{k}", v, int) for k, v in value.items()}
+        what = "an object of integers"
+    else:
+        accepts, what = _SCALARS[kind]
+        if accepts(value):
+            return float(value) if kind is float else value
+    raise ConfigError(f"{path}: expected {what}, got {value!r}")
+
+
+def _leaves(node: dict, prefix: str = ""):
+    """Yield ``(path, value)`` for each leaf of a config dict; reject a path that
+    ``_SCHEMA`` does not list and a section that is not an object."""
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        if "." in key or (path not in _SCHEMA and path not in _SECTIONS):
+            raise ConfigError(f"{path}: unknown config field")
+        if path in _SCHEMA:
+            yield path, value
+        elif type(value) is not dict:
+            raise ConfigError(f"{path}: expected an object, got {value!r}")
+        else:
+            yield from _leaves(value, path + ".")
 
 
 def config_from_dict(raw: dict, preset: Optional[str] = None) -> ExperimentConfig:
-    """Validate a nested config dict (the JSON file schema) into a config."""
-    known_top = {"preset", "seed", "steps", "log_every", "checkpoint_every",
-                 "model", "optimizer", "schedule", "rate_check", "lr_sweep", "noise"}
-    for key in raw:
-        if key not in known_top:
-            raise ConfigError(f"{key}: unknown config field")
-    kw: dict = {}
+    """Validate a nested config dict (the JSON file schema, ``_SCHEMA``) into a config."""
+    leaves = {_SCHEMA[path][0]: _check(path, value, _SCHEMA[path][1])
+              for path, value in _leaves(raw)}
     if preset is not None:
-        kw["preset"] = preset
-    elif "preset" in raw:
-        kw["preset"] = raw["preset"]
-    for key in ("seed", "steps", "log_every", "checkpoint_every"):
-        if key in raw:
-            kw[key] = _expect_int(raw[key], key)
-
-    model = dict(raw.get("model", {}))
-    if model:
-        for key in model:
-            if key not in {"kind", "dims", "num_batches", "batch_size"}:
-                raise ConfigError(f"model.{key}: unknown config field")
-        if "kind" in model:
-            kw["model_kind"] = model["kind"]
-        if "dims" in model:
-            if not isinstance(model["dims"], dict):
-                raise ConfigError("model.dims: must be an object of integer dimensions")
-            dims = {k: _expect_int(v, f"model.dims.{k}") for k, v in model["dims"].items()}
-            # dims of the default kind merge over its defaults; another kind needs all of its own
-            if model.get("kind", ExperimentConfig.model_kind) == ExperimentConfig.model_kind:
-                dims = {**_DEFAULT_DIMS, **dims}
-            kw["model_dims"] = dims
-        if "num_batches" in model:
-            kw["num_batches"] = _expect_int(model["num_batches"], "model.num_batches")
-        if "batch_size" in model:
-            kw["batch_size"] = _expect_int(model["batch_size"], "model.batch_size")
-
-    opt = dict(raw.get("optimizer", {}))
-    if opt:
-        kind = opt.pop("kind", "muown")
-        kw["optimizer_kind"] = kind
-        ns_steps = opt.pop("ns_steps", None)
-        ns_coeffs = opt.pop("ns_coeffs", None)
-        hp_kwargs = {}
-        for key in ("eta", "weight_decay", "beta1", "adam_beta1", "adam_beta2",
-                    "adam_eps", "gamma"):
-            if key in opt:
-                hp_kwargs[key] = opt.pop(key)
-        if "backend" in opt:
-            hp_kwargs["backend"] = opt.pop("backend")
-        if "rms_scale_on" in opt:
-            hp_kwargs["rms_scale_on"] = bool(opt.pop("rms_scale_on"))
-        if opt:
-            raise ConfigError(f"optimizer.{next(iter(opt))}: unknown config field")
-        if ns_steps is not None or ns_coeffs is not None:
-            base = NSConfig()
-            steps = base.steps if ns_steps is None else _expect_int(ns_steps, "optimizer.ns_steps")
-            if steps < 1:
-                raise ConfigError(f"optimizer.ns_steps: must be >= 1, got {steps}")
-            try:
-                hp_kwargs["ns"] = NSConfig(
-                    steps=steps,
-                    coeffs=base.coeffs if ns_coeffs is None else tuple(ns_coeffs),
-                )
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"optimizer.ns_coeffs: {exc}") from exc
-        hp_kwargs.setdefault("eta", 0.02)
-        try:
-            kw["hp"] = HyperParams(**hp_kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"optimizer: {exc}") from exc
-
-    sched = dict(raw.get("schedule", {}))
-    if sched:
-        for key in sched:
-            if key not in {"kind", "warmup_frac", "decay_frac", "floor"}:
-                raise ConfigError(f"schedule.{key}: unknown config field")
-        try:
-            kw["schedule"] = ScheduleSpec(**sched)
-        except TypeError as exc:
-            raise ConfigError(f"schedule: {exc}") from exc
-
-    rate = dict(raw.get("rate_check", {}))
-    if rate:
-        horizons = rate.pop("horizons", None)
-        if rate:
-            raise ConfigError(f"rate_check.{next(iter(rate))}: unknown config field")
-        if horizons is not None:
-            if not isinstance(horizons, list):
-                raise ConfigError(f"rate_check.horizons: expected a list, got {horizons!r}")
-            kw["rate_horizons"] = tuple(_expect_int(t, "rate_check.horizons[]") for t in horizons)
-
-    sweep = dict(raw.get("lr_sweep", {}))
-    if sweep:
-        for key in sweep:
-            if key not in {"log2_min", "log2_max", "optimizers"}:
-                raise ConfigError(f"lr_sweep.{key}: unknown config field")
-        if "log2_min" in sweep:
-            kw["sweep_log2_min"] = _expect_int(sweep["log2_min"], "lr_sweep.log2_min")
-        if "log2_max" in sweep:
-            kw["sweep_log2_max"] = _expect_int(sweep["log2_max"], "lr_sweep.log2_max")
-        if "optimizers" in sweep:
-            if not isinstance(sweep["optimizers"], list):
-                raise ConfigError(
-                    f"lr_sweep.optimizers: expected a list, got {sweep['optimizers']!r}")
-            kw["sweep_optimizers"] = tuple(sweep["optimizers"])
-
-    noise = dict(raw.get("noise", {}))
-    if noise:
-        for key in noise:
-            if key != "checkpoints":
-                raise ConfigError(f"noise.{key}: unknown config field")
-        kw["noise_checkpoints"] = _expect_int(noise["checkpoints"], "noise.checkpoints")
-
-    return ExperimentConfig(**kw)
+        leaves["preset"] = preset
+    # dims of the default kind merge over its defaults; another kind needs all of its own
+    kind = leaves.get("model_kind", ExperimentConfig.model_kind)
+    if "model_dims" in leaves and kind == ExperimentConfig.model_kind:
+        leaves["model_dims"] = {**_DEFAULT_DIMS, **leaves["model_dims"]}
+    return _replaced(ExperimentConfig(), "", leaves)
 
 
-def _expect_int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
+def _replaced(obj, prefix: str, leaves: dict):
+    """``obj`` with each leaf under attribute path ``prefix`` replaced, nested objects
+    rebuilt first. The error of a nested dataclass starts with the field it blames and
+    is re-raised naming that field's JSON path; ExperimentConfig names its own."""
+    kw = {}
+    for target, value in leaves.items():
+        if target.startswith(prefix):
+            name, nested, _ = target[len(prefix):].partition(".")
+            kw[name] = (_replaced(getattr(obj, name), f"{prefix}{name}.", leaves)
+                        if nested else value)
+    try:
+        return replace(obj, **kw)
+    except ValueError as exc:
+        if not prefix:
+            raise
+        raise ConfigError(f"{_PATH_OF[prefix + str(exc).split()[0]]}: {exc}") from exc
 
 
 def apply_overrides(raw: dict, overrides) -> dict:
@@ -287,6 +276,10 @@ def _view_of(state) -> ReparamView:
     return init_view(state.param)
 
 
+# The per-step metrics of each matrix layer, in log.csv column order.
+_LAYER_METRICS = ("spec_norm", "g_inf", "coherence", "grad_dual", "upd_norm")
+
+
 def _layer_metrics(layer: Layer, grad: np.ndarray, prev_param: np.ndarray) -> dict:
     w = layer.state.param
     view = _view_of(layer.state)
@@ -313,12 +306,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     """
     spec, params, batches = _make_model(cfg)
     layers = init_layers(params.named_values(), matrix_kind=cfg.optimizer_kind)
-    matrix_layers = [l.name for l in layers if l.kind in MATRIX_KINDS
-                     or l.state.param.ndim == 2]
+    matrix_layers = [l.name for l in layers if l.state.param.ndim == 2]
     columns = ["step", "eta", "loss"]
     for name in matrix_layers:
-        columns += [f"{name}.spec_norm", f"{name}.g_inf", f"{name}.coherence",
-                    f"{name}.grad_dual", f"{name}.upd_norm"]
+        columns += [f"{name}.{metric}" for metric in _LAYER_METRICS]
     rows: list[list] = []
     step, where, failure = 0, None, None
     try:
@@ -333,8 +324,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
                     if layer.name in matrix_layers:
                         where = layer.name
                         met = _layer_metrics(layer, grad, prev.state.param)
-                        row += [met["spec_norm"], met["g_inf"], met["coherence"],
-                                met["grad_dual"], met["upd_norm"]]
+                        row += [met[metric] for metric in _LAYER_METRICS]
                 rows.append(row)
             if out_dir and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
                 save_checkpoint(os.path.join(out_dir, f"ckpt_{step:06d}"), layers, cfg.hp)
@@ -545,22 +535,27 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
         state = init_muown_signum(w0)
         dual_sum = 0.0
         worst_slack = -math.inf
-        for t in range(horizon):
-            pset = ParamSet([models.Param("W", state.param, "matrix")])
-            loss, grads = loss_and_grad(spec, pset, None)
-            view = _view_of(state)
-            gg = grad_g(grads[0], view.D)
-            gr = grad_R(grads[0], view.g, view.r, view.D)
-            dual = dual_norm(gg, gr)
-            dual_sum += dual
-            state = muown_signum_step(state, grads[0], hp)
-            loss_after, _ = loss_and_grad(
-                spec, ParamSet([models.Param("W", state.param, "matrix")]), None)
-            descent_rhs = (-step_size * vec_l1(gg) - step_size * nuclear_norm(gr)
-                           + 0.5 * big_l * (step_size ** 2 + step_size ** 2))
-            slack = (loss_after - loss) - descent_rhs
-            worst_slack = max(worst_slack, slack)
-            all_rows.append([horizon, t + 1, float(loss), float(dual), float(slack)])
+        try:
+            for t in range(horizon):
+                pset = ParamSet([models.Param("W", state.param, "matrix")])
+                loss, grads = loss_and_grad(spec, pset, None)
+                view = _view_of(state)
+                gg = grad_g(grads[0], view.D)
+                gr = grad_R(grads[0], view.g, view.r, view.D)
+                dual = dual_norm(gg, gr)
+                dual_sum += dual
+                state = muown_signum_step(state, grads[0], hp)
+                loss_after, _ = loss_and_grad(
+                    spec, ParamSet([models.Param("W", state.param, "matrix")]), None)
+                descent_rhs = (-step_size * vec_l1(gg) - step_size * nuclear_norm(gr)
+                               + 0.5 * big_l * (step_size ** 2 + step_size ** 2))
+                slack = (loss_after - loss) - descent_rhs
+                worst_slack = max(worst_slack, slack)
+                all_rows.append([horizon, t + 1, float(loss), float(dual), float(slack)])
+        except _RUN_ERRORS as exc:
+            assertions.append({"name": f"run_completed_T{horizon}", "pass": False,
+                               "detail": _stopped(_failure(exc, t + 1, [], "W"))})
+            continue
         avg_dual = dual_sum / horizon
         bound = 4.0 * math.sqrt(big_l * delta1 / horizon)
         assertions.append({
@@ -678,15 +673,10 @@ def preset_lr_sweep(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dic
 
 
 def run_preset(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
-    if cfg.preset == "single":
-        log = run_experiment(cfg, out_dir)
-        return _write_verdict(out_dir, "single", [_completed("run_completed", log.summary)])
-    if cfg.preset == "drift":
-        return preset_drift(cfg, out_dir)
-    if cfg.preset == "rate-check":
-        return preset_rate_check(cfg, out_dir)
-    if cfg.preset == "noise-compare":
-        return preset_noise_compare(cfg, out_dir)
-    if cfg.preset == "lr-sweep":
-        return preset_lr_sweep(cfg, out_dir)
-    raise ConfigError(f"preset: unknown preset {cfg.preset!r}")
+    """Run ``cfg.preset``, which ExperimentConfig has checked is one of PRESETS."""
+    presets = {"drift": preset_drift, "rate-check": preset_rate_check,
+               "noise-compare": preset_noise_compare, "lr-sweep": preset_lr_sweep}
+    if cfg.preset in presets:
+        return presets[cfg.preset](cfg, out_dir)
+    log = run_experiment(cfg, out_dir)
+    return _write_verdict(out_dir, "single", [_completed("run_completed", log.summary)])

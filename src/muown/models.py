@@ -94,15 +94,6 @@ class ParamSet:
             raise KeyError(name)
         return ParamSet(out)
 
-    def with_values(self, values) -> "ParamSet":
-        values = list(values)
-        if len(values) != len(self.params):
-            raise ValueError(f"{len(values)} values for {len(self.params)} params")
-        return ParamSet(
-            replace(p, value=np.asarray(v, dtype=np.float64))
-            for p, v in zip(self.params, values)
-        )
-
 
 @dataclass(frozen=True)
 class Batch:

@@ -338,8 +338,6 @@ _KINDS = {
 INIT_FNS = {kind: init for kind, (_, init, _) in _KINDS.items()}
 STEP_FNS = {kind: step for kind, (_, _, step) in _KINDS.items()}
 
-MATRIX_KINDS = ("muown", "muown_fixed", "muown_signum", "muon")
-
 
 @dataclass(frozen=True)
 class Layer:
@@ -380,10 +378,6 @@ def step_all(layers, grads, hp: HyperParams) -> list[Layer]:
     if failures:
         raise StepAllError(failures)
     return out  # type: ignore[return-value]
-
-
-def params_of(layers) -> list[np.ndarray]:
-    return [layer.state.param for layer in layers]
 
 
 # --------------------------------------------------------------------------

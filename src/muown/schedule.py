@@ -24,13 +24,15 @@ class ScheduleSpec:
 
     def __post_init__(self):
         if self.kind not in ("constant", "wsd"):
-            raise ConfigError(f"schedule.kind must be 'constant' or 'wsd', got {self.kind!r}")
-        if not (0.0 <= self.warmup_frac <= 1.0 and 0.0 <= self.decay_frac <= 1.0):
-            raise ConfigError("schedule fractions must lie in [0, 1]")
+            raise ConfigError(f"kind must be 'constant' or 'wsd', got {self.kind!r}")
+        if not 0.0 <= self.warmup_frac <= 1.0:
+            raise ConfigError(f"warmup_frac must lie in [0, 1], got {self.warmup_frac}")
+        if not 0.0 <= self.decay_frac <= 1.0:
+            raise ConfigError(f"decay_frac must lie in [0, 1], got {self.decay_frac}")
         if self.warmup_frac + self.decay_frac > 1.0:
-            raise ConfigError("warmup_frac + decay_frac must be <= 1")
+            raise ConfigError("decay_frac must be <= 1 - warmup_frac")
         if self.floor < 0.0:
-            raise ConfigError("schedule.floor must be >= 0")
+            raise ConfigError(f"floor must be >= 0, got {self.floor}")
 
 
 def eta_at(spec: ScheduleSpec, step: float, total: int, peak: float) -> float:

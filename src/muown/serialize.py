@@ -10,7 +10,7 @@ record each tensor's ndim).
 from __future__ import annotations
 
 import struct
-from typing import BinaryIO, Sequence
+from typing import BinaryIO
 
 import numpy as np
 
@@ -59,24 +59,3 @@ def read_record(fh: BinaryIO) -> np.ndarray:
     raw = _read_exact(fh, 8 * count)
     return np.frombuffer(raw, dtype="<f8", count=count).astype(np.float64).reshape(m, n)
 
-
-def save_matrices(path, arrays: Sequence[np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        for a in arrays:
-            write_record(fh, a)
-
-
-def load_matrices(path, count: int | None = None) -> list[np.ndarray]:
-    out = []
-    with open(path, "rb") as fh:
-        while True:
-            pos = fh.tell()
-            if not fh.read(4):
-                break
-            fh.seek(pos)
-            out.append(read_record(fh))
-            if count is not None and len(out) == count:
-                break
-    if count is not None and len(out) != count:
-        raise ValueError(f"expected {count} records, found {len(out)}")
-    return out

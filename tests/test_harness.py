@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muown import harness
 from muown.cli import main as cli_main
@@ -245,12 +247,62 @@ class TestCli:
         ("rate-check", "rate_check.horizons=5"),
         ("lr-sweep", "lr_sweep.optimizers=5"),
         ("single", 'model.dims={"d_in": 6, "hidden": 0, "d_out": 4}'),
+        # a section that is not an object
+        ("single", "model=5"),
+        ("single", "optimizer=5"),
+        ("single", "schedule=5"),
+        ("single", "rate_check=5"),
+        # a value of the wrong JSON type
+        ("single", "optimizer.kind=[1]"),
+        ("single", "lr_sweep.optimizers=[[1]]"),
+        ("single", 'optimizer.rms_scale_on="no"'),
+        ("single", "optimizer.eta=true"),
+        ("single", 'optimizer.eta="x"'),
+        ("single", 'schedule.floor="x"'),
+        ("single", "optimizer.eta=NaN"),
+        ("single", "optimizer.weight_decay=NaN"),
+        pytest.param("single", "schedule.floor=1" + "0" * 400,
+                     id="single-schedule.floor=10**400"),
+        ("single", "optimizer.ns_steps=1e400"),
+        # a key that is not a dimension of the model kind
+        ("single", "model.dims.foo=3"),
+        # out of range, caught by the dataclass that holds the field
+        ("single", "optimizer.adam_eps=0"),
+        ("single", "schedule.decay_frac=0.99"),
+        ("single", "schedule.floor=-1"),
+        ("single", "model.batch_size=0"),
     ])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, preset, override):
         rc = cli_main(["run", preset, "--set", override, "--out", str(tmp_path / "x")])
         assert rc == 2
         field = override.partition("=")[0]
         assert f"config error: {field}" in capsys.readouterr().err
+
+    def test_readme_config_block_is_the_default_schema(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("Config file schema", 1)[1].split("```json", 1)[1]
+        block = json.loads(block.split("```", 1)[0])
+        assert config_from_dict(block) == ExperimentConfig()
+        paths = {path for path, _ in harness._leaves(block)}
+        assert paths == set(harness._SCHEMA) - {"preset"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(sets=st.lists(st.tuples(
+        # a known leaf or section, optionally with a random tail: mostly unknown paths
+        st.tuples(st.sampled_from(sorted(set(harness._SCHEMA) | harness._SECTIONS)),
+                  st.sampled_from(["", ".", ".dims", ".foo"])
+                  | st.from_regex(r"[a-z_.]{0,8}", fullmatch=True)).map("".join),
+        st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+                     | st.sampled_from([0, 1, -1, 0.5, 10 ** 400, "mlp2", "wsd", "muown"]),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                     max_leaves=6)), max_size=4))
+    def test_any_json_at_any_path_is_a_config_or_a_config_error(self, sets):
+        overrides = [f"{path}={json.dumps(value)}" for path, value in sets]
+        try:
+            config_from_dict(apply_overrides({}, overrides))
+        except ConfigError:
+            pass
 
     def test_bad_json_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -276,13 +328,7 @@ class TestCli:
         ["optimizer.eta=1e300", "steps=5", "log_every=100"],
     ])
     def test_failed_run_exits_1_with_a_verdict(self, tmp_path, sets):
-        argv = [sys.executable, "-m", "muown.cli", "run", "single"]
-        for item in sets:
-            argv += ["--set", item]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-        proc = subprocess.run(argv + ["--out", str(tmp_path)], capture_output=True,
-                              text=True, env=env, timeout=120)
+        proc = _run_cli(tmp_path, "single", sets)
         assert proc.returncode == 1, proc.stderr
         assert "Traceback" not in proc.stderr
         assert re.search(r"\[FAIL\] run_completed: stopped at step \d+, layer W[12]: "
@@ -290,3 +336,22 @@ class TestCli:
         failure = json.load(open(tmp_path / "summary.json"))["failure"]
         assert failure["layer"] in ("W1", "W2")
         assert not json.load(open(tmp_path / "verdict.json"))["pass"]
+
+    def test_failed_rate_check_horizon_exits_1_with_a_verdict(self, tmp_path):
+        # step size sqrt(1/4) = 0.5 drives the magnitude of the 2x2 identity to 0
+        proc = _run_cli(tmp_path, "rate-check", ["rate_check.horizons=[1,4]"])
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "[PASS] rate_bound_T1: " in proc.stdout, proc.stdout
+        assert re.search(r"\[FAIL\] run_completed_T4: stopped at step \d+, layer W: "
+                         r"ZeroRowError: ", proc.stdout), proc.stdout
+
+
+def _run_cli(out_dir, preset, sets):
+    argv = [sys.executable, "-m", "muown.cli", "run", preset]
+    for item in sets:
+        argv += ["--set", item]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(argv + ["--out", str(out_dir)], capture_output=True,
+                          text=True, env=env, timeout=120)

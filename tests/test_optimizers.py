@@ -388,11 +388,10 @@ class TestDriver:
         assert bitwise_equal(out[0].state.param, direct.param)
 
     def test_mixed_routing(self, rng):
-        from muown.optimizers import params_of
         w, b = rng.standard_normal((4, 3)), rng.standard_normal(4)
         layers = init_layers([("W", w), ("b", b)], matrix_kind="muown")
         assert [l.kind for l in layers] == ["muown", "adamw"]
-        assert all(bitwise_equal(p, q) for p, q in zip(params_of(layers), [w, b]))
+        assert all(bitwise_equal(p, q) for p, q in zip([l.state.param for l in layers], [w, b]))
 
     def test_declaration_order_does_not_matter(self, rng):
         named = [(f"W{i}", rng.standard_normal((3, 3))) for i in range(3)]
