@@ -71,12 +71,14 @@ class NoiseReport:
         }
 
 
-def spectral_decomposition(w, g=None) -> DecompReport:
+def spectral_decomposition(w, g=None, sigma=None) -> DecompReport:
     """Split ||W||^2 into the row-scale and coherence factors.
 
     ``g`` defaults to the row norms of ``w``; passing the (possibly signed)
     magnitude vector from an optimizer state instead surfaces sign flips via
-    ``negative_g_count`` without changing either factor.
+    ``negative_g_count`` without changing either factor. ``sigma``, the
+    singular values of ``w`` (descending) when the caller already has them,
+    saves the SVD of ``w``.
     """
     w = as_matrix(w)
     if g is None:
@@ -93,7 +95,9 @@ def spectral_decomposition(w, g=None) -> DecompReport:
     # lambda_max(P C P) computed as the squared top singular value of P D:
     # better conditioned than forming the Gram product, identical in value.
     coherence = float(singular_values(p[:, None] * d)[0] ** 2)
-    direct = float(singular_values(w)[0] ** 2)
+    if sigma is None:
+        sigma = singular_values(w)
+    direct = float(sigma[0] ** 2)
     rowscale_sq = ginf * ginf
     residual = abs(rowscale_sq * coherence - direct) / direct
     return DecompReport(

@@ -76,6 +76,10 @@ class ExperimentConfig:
                  f"unknown kind {self.optimizer_kind!r}")
         for kind in self.sweep_optimizers:
             _require(kind in INIT_FNS, "sweep_optimizers", f"unknown kind {kind!r}")
+        _require(self.hp.weight_decay == 0.0
+                 or "muown_fixed" not in (self.optimizer_kind, *self.sweep_optimizers),
+                 "hp.weight_decay", "must be 0 with muown_fixed, whose row magnitudes "
+                 f"decay would unfreeze; got {self.hp.weight_decay}")
         _require(self.sweep_log2_max >= self.sweep_log2_min, "sweep_log2_max",
                  f"must be >= log2_min {self.sweep_log2_min}, got {self.sweep_log2_max}")
         _require(bool(self.rate_horizons) and min(self.rate_horizons) >= 1, "rate_horizons",
@@ -285,9 +289,10 @@ def _layer_metrics(layer: Layer, grad: np.ndarray, prev_param: np.ndarray) -> di
     view = _view_of(layer.state)
     gg = grad_g(grad, view.D)
     gr = grad_R(grad, view.g, view.r, view.D)
-    report = spectral_decomposition(w, g=view.g)
+    sigma = singular_values(w)
+    report = spectral_decomposition(w, g=view.g, sigma=sigma)
     return {
-        "spec_norm": float(singular_values(w)[0]),
+        "spec_norm": float(sigma[0]),
         "g_inf": float(np.max(np.abs(view.g))),
         "coherence": report.coherence,
         "grad_dual": dual_norm(gg, gr),

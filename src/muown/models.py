@@ -28,7 +28,7 @@ import numpy as np
 from .errors import NonFiniteError
 from .linalg import singular_values
 from .rng import SplitMix64, derive_seed
-from .serialize import read_record, write_record
+from .serialize import atomic_open, read_record, write_record
 
 MODEL_KINDS = ("quadratic", "logistic", "mlp2")
 
@@ -340,7 +340,7 @@ def full_dataset_gradient(spec: ModelSpec, params: ParamSet, batches):
 
 def save_dataset(dirpath, kind: str, batches) -> None:
     os.makedirs(dirpath, exist_ok=True)
-    with open(os.path.join(dirpath, "data.mwn1"), "wb") as fh:
+    with atomic_open(os.path.join(dirpath, "data.mwn1")) as fh:
         for b in batches:
             write_record(fh, b.inputs)
             write_record(fh, b.targets)
@@ -350,7 +350,7 @@ def save_dataset(dirpath, kind: str, batches) -> None:
         "target_ndim": int(batches[0].targets.ndim),
         "seed_info": [b.seed_info for b in batches],
     }
-    with open(os.path.join(dirpath, "manifest.json"), "w") as fh:
+    with atomic_open(os.path.join(dirpath, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
 
 

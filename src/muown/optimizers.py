@@ -27,8 +27,8 @@ moment update of ``adamw`` and of muown's magnitudes; ``_recompose`` rebuilds
 the effective weight of the muown kinds, with the decoupled decay.
 
 Every step function is pure: it returns a fresh state and never mutates its
-inputs, which is what makes per-layer execution order irrelevant and the
-sharded/replicated equivalence exact.
+inputs, which is what makes per-layer execution order irrelevant: ``step_all``
+may step heavy layers on several threads and still return the serial bits.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field, fields, replace
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -45,7 +46,10 @@ from .errors import NonFiniteError, StepAllError
 from .linalg import as_matrix, row_norms
 from .orthogonalize import DEFAULT_NS, NSConfig, descent_direction
 from .reparam import check_rows_nonzero, grad_R, grad_g, view_from_state
-from .serialize import read_record, write_record
+from .serialize import atomic_open, read_record, write_record
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 
 @dataclass(frozen=True)
@@ -364,19 +368,89 @@ def step_layer(layer: Layer, grad, hp: HyperParams) -> Layer:
     return replace(layer, state=STEP_FNS[layer.kind](layer.state, grad, hp))
 
 
+# A parameter of at least this many entries is heavy: enough BLAS work per step
+# to pay for a hand-off to a pool thread.
+HEAVY_SIZE = 1 << 14
+
+_POOL: Optional[tuple[int, int, ThreadPoolExecutor]] = None  # (pid, threads, pool)
+
+
+def _workers() -> int:
+    """How many layer steps may run at once without oversubscribing the CPUs.
+
+    Usable CPUs divided by the BLAS thread count, read as OpenBLAS reads it:
+    the first positive ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``;
+    with neither, BLAS uses every CPU and the answer is 1.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+        os.cpu_count() or 1)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            return max(1, cpus // blas)
+    return 1
+
+
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """The step pool with room for ``threads`` threads; made on first use, and
+    made afresh in a forked child, whose copy of the pool has no threads."""
+    # imported here: concurrent.futures adds ~0.6 MB to a process that never pools
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _POOL
+    pid = os.getpid()
+    if _POOL is None or _POOL[0] != pid or _POOL[1] < threads:
+        if _POOL is not None and _POOL[0] == pid:
+            _POOL[2].shutdown(wait=False)
+        _POOL = (pid, threads, ThreadPoolExecutor(threads, "muown-step"))
+    return _POOL[2]
+
+
+def _drain(jobs: deque, run) -> None:
+    while True:
+        try:
+            i = jobs.popleft()
+        except IndexError:
+            return
+        run(i)
+
+
 def step_all(layers, grads, hp: HyperParams) -> list[Layer]:
-    """Step every layer in declaration order; failures are aggregated by index."""
+    """Step every layer; failures are aggregated by index.
+
+    With two or more heavy layers (``HEAVY_SIZE``) and more than one worker
+    (``_workers``), the calling thread and up to ``workers - 1`` pool threads
+    drain one job list, largest parameter first. Every step is pure, so the
+    result is bit for bit the serial loop's, in declaration order.
+    """
     if len(grads) != len(layers):
         raise ValueError(f"{len(grads)} gradients for {len(layers)} layers")
     out: list[Layer | None] = [None] * len(layers)
     failures = []
-    for i, (layer, grad) in enumerate(zip(layers, grads)):
+
+    def run(i: int) -> None:
         try:
-            out[i] = step_layer(layer, grad, hp)
+            out[i] = step_layer(layers[i], grads[i], hp)
         except Exception as exc:  # noqa: BLE001 - aggregated and re-raised
             failures.append((i, exc))
+
+    heavy = sum(layer.state.param.size >= HEAVY_SIZE for layer in layers)
+    threads = min(_workers(), heavy) - 1 if heavy >= 2 else 0
+    if threads > 0:
+        jobs = deque(sorted(range(len(layers)), key=lambda i: -layers[i].state.param.size))
+        pool = _pool(threads)
+        helpers = [pool.submit(_drain, jobs, run) for _ in range(threads)]
+        _drain(jobs, run)
+        for helper in helpers:
+            helper.result()
+    else:
+        for i in range(len(layers)):
+            run(i)
     if failures:
-        raise StepAllError(failures)
+        raise StepAllError(sorted(failures, key=lambda f: f[0]))
     return out  # type: ignore[return-value]
 
 
@@ -399,7 +473,7 @@ def save_checkpoint(dirpath, layers, hp: HyperParams) -> None:
     for i, layer in enumerate(layers):
         stem = f"layer{i:03d}_{layer.name}"
         tensors = _state_tensors(layer.state)
-        with open(os.path.join(dirpath, stem + ".mwn1"), "wb") as fh:
+        with atomic_open(os.path.join(dirpath, stem + ".mwn1")) as fh:
             for _, val in tensors:
                 if val is not None:
                     write_record(fh, val)
@@ -413,7 +487,7 @@ def save_checkpoint(dirpath, layers, hp: HyperParams) -> None:
                 for nm, v in tensors
             ],
         }
-        with open(os.path.join(dirpath, stem + ".json"), "w") as fh:
+        with atomic_open(os.path.join(dirpath, stem + ".json"), "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
 
 

@@ -9,6 +9,8 @@ record each tensor's ndim).
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from typing import BinaryIO
 
@@ -31,6 +33,25 @@ def write_record(fh: BinaryIO, a: np.ndarray) -> int:
     payload = np.ascontiguousarray(a, dtype="<f8").tobytes()
     fh.write(payload)
     return len(MAGIC) + _HEADER.size + len(payload)
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "wb"):
+    """Write ``path`` through a temporary file beside it.
+
+    The temporary file replaces ``path`` in one ``os.replace`` when the block
+    exits cleanly and is removed when it raises, so ``path`` holds either its
+    old content or the complete new one, never a partial file.
+    """
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _read_exact(fh: BinaryIO, size: int) -> bytes:

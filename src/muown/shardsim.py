@@ -1,19 +1,20 @@
 """Round-robin optimizer sharding simulated with virtual ranks.
 
-Per-layer optimizer work is assigned layer i -> rank i mod num_ranks; each
-rank steps only its own layers (optimizer state never leaves its owner) and
-an all-gather then republishes the updated parameters to every rank. Because
-per-layer steps are pure functions, the sharded execution is bitwise
-identical to stepping every layer in one place; the simulation's job is to
-keep the state rank-local and to account for gathered traffic, which counts
+Per-layer optimizer work is assigned layer i -> rank i mod num_ranks. A rank
+stands for ownership: its layers' optimizer state never leaves it, and an
+all-gather republishes the updated parameters to every rank. The simulation
+keeps the plan and accounts for that gathered traffic, which counts
 parameter bytes only (8 bytes per entry) and never optimizer state.
+Execution goes through ``step_all``, which may step heavy layers
+concurrently; per-layer steps are pure, so the sharded result is bitwise
+identical to stepping every layer in one place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .optimizers import HyperParams, Layer, step_layer
+from .optimizers import HyperParams, step_all
 
 
 @dataclass(frozen=True)
@@ -37,20 +38,12 @@ def make_plan(num_layers: int, num_ranks: int) -> ShardPlan:
 def run_sharded(layers, grads, hp: HyperParams, plan: ShardPlan):
     """One sharded optimizer step; returns (updated layers, gathered bytes).
 
-    Each rank steps its assigned layers against the shared gradients; the
-    all-gather copies every updated parameter to all ranks (accounted in
-    bytes), while momentum/moment buffers and the magnitude states stay with
-    the owning rank.
+    The plan must cover every layer. A failed layer step raises
+    ``StepAllError``, as in ``step_all``.
     """
     if len(plan.assignment) != len(layers):
         raise ValueError(
             f"plan covers {len(plan.assignment)} layers, got {len(layers)}"
         )
-    if len(grads) != len(layers):
-        raise ValueError(f"{len(grads)} gradients for {len(layers)} layers")
-    updated: list[Layer | None] = [None] * len(layers)
-    for rank in range(plan.num_ranks):
-        for i in plan.layers_of(rank):
-            updated[i] = step_layer(layers[i], grads[i], hp)
-    traffic = sum(8 * layer.state.param.size for layer in updated)
-    return updated, traffic
+    updated = step_all(layers, grads, hp)
+    return updated, sum(8 * layer.state.param.size for layer in updated)

@@ -28,3 +28,17 @@ def matrix_with_condition(rng, m: int, n: int, cond: float) -> np.ndarray:
     u, _ = np.linalg.qr(rng.standard_normal((m, k)))
     v, _ = np.linalg.qr(rng.standard_normal((n, k)))
     return (u * sig) @ v.T
+
+
+def write_record_failing_after(real, n: int):
+    """A ``write_record`` that writes ``n`` records, then fails part way through the next."""
+    calls = []
+
+    def write(fh, a):
+        calls.append(1)
+        if len(calls) > n:
+            fh.write(b"MWN1")
+            raise OSError("disk full")
+        return real(fh, a)
+
+    return write

@@ -61,6 +61,12 @@ class TestSpectralDecomposition:
         assert b.coherence == pytest.approx(a.coherence, rel=1e-10)
         assert b.rowscale_sq == pytest.approx(a.rowscale_sq, rel=1e-12)
 
+    def test_given_singular_values_give_the_same_report(self, rng):
+        for shape in ((4, 5), (7, 3), (1, 6)):
+            w = rng.standard_normal(shape)
+            assert (spectral_decomposition(w, sigma=singular_values(w)).to_dict()
+                    == spectral_decomposition(w).to_dict())
+
 
 class TestEffectiveRank:
     def test_uniform_spectrum(self):

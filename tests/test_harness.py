@@ -271,11 +271,19 @@ class TestCli:
         ("single", "schedule.decay_frac=0.99"),
         ("single", "schedule.floor=-1"),
         ("single", "model.batch_size=0"),
+        # weight decay would unfreeze muown_fixed's magnitudes; the last --set is named
+        pytest.param("single", ("optimizer.kind=muown_fixed", "optimizer.weight_decay=0.1"),
+                     id="single-muown_fixed-optimizer.weight_decay=0.1"),
+        pytest.param("lr-sweep", ('lr_sweep.optimizers=["muown_fixed"]',
+                                  "optimizer.weight_decay=0.1"),
+                     id="lr-sweep-muown_fixed-optimizer.weight_decay=0.1"),
     ])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, preset, override):
-        rc = cli_main(["run", preset, "--set", override, "--out", str(tmp_path / "x")])
+        overrides = override if isinstance(override, tuple) else (override,)
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        rc = cli_main(["run", preset, *sets, "--out", str(tmp_path / "x")])
         assert rc == 2
-        field = override.partition("=")[0]
+        field = overrides[-1].partition("=")[0]
         assert f"config error: {field}" in capsys.readouterr().err
 
     def test_readme_config_block_is_the_default_schema(self):

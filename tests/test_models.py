@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from muown import models
 from muown.models import (
     Batch,
     Param,
@@ -19,7 +22,7 @@ from muown.models import (
 from muown.linalg import row_norms
 from muown.rng import SplitMix64, derive_seed
 
-from conftest import bitwise_equal
+from conftest import bitwise_equal, write_record_failing_after
 
 MLP_DIMS = {"d_in": 5, "hidden": 7, "d_out": 3}
 
@@ -180,6 +183,23 @@ class TestDatasetIO:
             assert bitwise_equal(a.inputs, b.inputs)
             assert bitwise_equal(a.targets, b.targets)
             assert a.seed_info == b.seed_info
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        batches = synth_data("logistic", {"features": 3}, seed=9, num_batches=2,
+                             batch_size=4)
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        save_dataset(old, "logistic", batches)
+        before = (old / "data.mwn1").read_bytes()
+        monkeypatch.setattr(models, "write_record",
+                            write_record_failing_after(models.write_record, 3))
+        for path in (fresh, old):
+            with pytest.raises(OSError):
+                save_dataset(path, "logistic", synth_data("logistic", {"features": 3},
+                                                          seed=10, num_batches=2,
+                                                          batch_size=4))
+        assert os.listdir(fresh) == []
+        assert sorted(os.listdir(old)) == ["data.mwn1", "manifest.json"]
+        assert (old / "data.mwn1").read_bytes() == before
 
 
 class TestParamSet:

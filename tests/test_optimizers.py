@@ -1,6 +1,9 @@
+import os
+
 import numpy as np
 import pytest
 
+from muown import optimizers
 from muown.errors import StepAllError, ZeroRowError
 from muown.linalg import row_norms, singular_values
 from muown.optimizers import (
@@ -25,7 +28,7 @@ from muown.optimizers import (
 )
 from muown.orthogonalize import NSConfig
 
-from conftest import bitwise_equal
+from conftest import bitwise_equal, write_record_failing_after
 
 POLAR = HyperParams(eta=0.05, backend="polar")
 
@@ -487,3 +490,21 @@ class TestCheckpoint:
         a = step_layer(layers[0], grad, hp)
         b = step_layer(back[0], grad, hp)
         assert bitwise_equal(a.state.param, b.state.param)
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, rng, monkeypatch):
+        named = [("W", rng.standard_normal((4, 3))), ("b", rng.standard_normal(4))]
+        hp = HyperParams(eta=0.05)
+        layers = init_layers(named, matrix_kind="muown")
+        fresh, old = tmp_path / "fresh", tmp_path / "old"
+        save_checkpoint(old, layers, hp)
+        before = {f: (old / f).read_bytes() for f in os.listdir(old)}
+        stepped = step_all(layers, [rng.standard_normal(l.state.param.shape)
+                                    for l in layers], hp)
+        # the muown layer's third record (r of W) fails part way
+        monkeypatch.setattr(optimizers, "write_record",
+                            write_record_failing_after(optimizers.write_record, 2))
+        for path in (fresh, old):
+            with pytest.raises(OSError):
+                save_checkpoint(path, stepped, hp)
+        assert os.listdir(fresh) == []
+        assert {f: (old / f).read_bytes() for f in os.listdir(old)} == before

@@ -1,7 +1,12 @@
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
+from muown import optimizers
+from muown.errors import StepAllError
 from muown.models import loss_and_grad, make_model
-from muown.optimizers import HyperParams, init_layers, step_all
+from muown.optimizers import HyperParams, init_layers, step_all, step_layer
 from muown.shardsim import ShardPlan, make_plan, run_sharded
 
 from conftest import bitwise_equal
@@ -104,3 +109,35 @@ class TestTrafficAccounting:
         grads = _grads_for(spec, layers, batches[0])
         with pytest.raises(ValueError):
             run_sharded(layers, grads, hp, ShardPlan(num_ranks=1, assignment=(0,)))
+
+
+class TestPooledSharding:
+    def _heavy_problem(self, rng):
+        named = [("W0", rng.standard_normal((128, 128)) / 8), ("b0", rng.standard_normal(128)),
+                 ("W1", rng.standard_normal((64, 256)) / 16), ("b1", rng.standard_normal(64))]
+        layers = init_layers(named, matrix_kind="muown")
+        return layers, [rng.standard_normal(l.state.param.shape) for l in layers]
+
+    def test_pooled_path_equals_replicated_stepping(self, rng, monkeypatch):
+        monkeypatch.setattr(optimizers, "_workers", lambda: 2)
+        calls = []
+        real = optimizers._pool
+        monkeypatch.setattr(optimizers, "_pool", lambda n: calls.append(n) or real(n))
+        layers, grads = self._heavy_problem(rng)
+        hp = HyperParams(eta=0.02)
+        sharded, traffic = run_sharded(layers, grads, hp, make_plan(len(layers), 2))
+        assert calls == [1]
+        replicated = [step_layer(l, g, hp) for l, g in zip(layers, grads)]
+        for a, b in zip(sharded, replicated):
+            assert a.name == b.name
+            for f in fields(a.state):
+                x, y = getattr(a.state, f.name), getattr(b.state, f.name)
+                assert bitwise_equal(x, y) if isinstance(x, np.ndarray) else x == y, f.name
+        assert traffic == 8 * sum(l.state.param.size for l in layers)
+
+    def test_failed_step_raises_step_all_error(self, rng):
+        layers, grads = self._heavy_problem(rng)
+        grads[2] = np.full_like(grads[2], np.nan)
+        with pytest.raises(StepAllError) as exc:
+            run_sharded(layers, grads, HyperParams(eta=0.02), make_plan(len(layers), 2))
+        assert [i for i, _ in exc.value.failures] == [2]
