@@ -409,6 +409,13 @@ def _pool(threads: int) -> ThreadPoolExecutor:
     return _POOL[2]
 
 
+def _step_cost(layer: Layer) -> int:
+    """Flops of one orthogonalization up to a constant: each Newton-Schulz
+    product of an m x n matrix costs m * n * min(m, n); a vector step is linear."""
+    p = layer.state.param
+    return p.size * min(p.shape) if p.ndim == 2 else p.size
+
+
 def _drain(jobs: deque, run) -> None:
     while True:
         try:
@@ -423,8 +430,9 @@ def step_all(layers, grads, hp: HyperParams) -> list[Layer]:
 
     With two or more heavy layers (``HEAVY_SIZE``) and more than one worker
     (``_workers``), the calling thread and up to ``workers - 1`` pool threads
-    drain one job list, largest parameter first. Every step is pure, so the
-    result is bit for bit the serial loop's, in declaration order.
+    drain one job list, costliest step first (``_step_cost``), so the cheap
+    steps fill in at the end. Every step is pure, so the result is bit for bit
+    the serial loop's, in declaration order.
     """
     if len(grads) != len(layers):
         raise ValueError(f"{len(grads)} gradients for {len(layers)} layers")
@@ -440,7 +448,7 @@ def step_all(layers, grads, hp: HyperParams) -> list[Layer]:
     heavy = sum(layer.state.param.size >= HEAVY_SIZE for layer in layers)
     threads = min(_workers(), heavy) - 1 if heavy >= 2 else 0
     if threads > 0:
-        jobs = deque(sorted(range(len(layers)), key=lambda i: -layers[i].state.param.size))
+        jobs = deque(sorted(range(len(layers)), key=lambda i: -_step_cost(layers[i])))
         pool = _pool(threads)
         helpers = [pool.submit(_drain, jobs, run) for _ in range(threads)]
         _drain(jobs, run)

@@ -19,8 +19,19 @@ number (the acceptance suite checks singular values stay in a fixed band and
 the dual pairing stays within 5% of exact, down to condition number 1e4).
 AGGRESSIVE_COEFFS (3.4445, -4.7750, 2.0315) is the widely used 5-step tuning
 that maximizes slope at zero; it is much cheaper but intentionally
-non-convergent, orbiting the polar factor with singular values in roughly
-[0.68, 1.16], and is exposed for experiments that want that behavior.
+non-convergent, and is exposed for experiments that want that behavior.
+
+The iteration maps each singular value of G / ||G||_F through the same scalar
+polynomial, so the aggressive band depends on the smallest one. Five steps
+lift a value by at most a^5 ~ 483, and they leave every output singular
+value in [0.68, 1.16] whenever sigma_min(G) >= 5e-3 ||G||_F ([0.682,
+1.135] from 1e-2 up). Since ||G||_F <= sqrt(min(m, n)) sigma_max(G), a
+condition number kappa with kappa * sqrt(min(m, n)) <= 200 is enough: a 6x8
+matrix up to kappa = 80, or a 64x256 gaussian (kappa ~ 3). Below that floor
+small singular values can stay far below the band: a square gaussian has
+sigma_min(G) / ||G||_F ~ n^-1.5, and five steps gave output sigma in
+[0.016, 1.20] at 256x256 and [3.4e-3, 1.20] at 1024x1024
+(``np.random.default_rng(0)``).
 """
 
 from __future__ import annotations
@@ -62,21 +73,29 @@ def newton_schulz(g, cfg: NSConfig = DEFAULT_NS) -> np.ndarray:
     Prenormalizes by the Frobenius norm (so the iteration starts with all
     singular values in (0, 1]) and iterates on the transposed problem when
     that keeps the Gram matrix on the smaller side. Raises NonFiniteError if
-    the input is zero/non-finite or the iteration degenerates.
+    the input is zero/non-finite or the iteration degenerates. The input is
+    never written to.
+
+    The iteration works in place on one C-contiguous copy, three fresh arrays
+    per step; it forms ``c * gram @ gram + b * gram`` and ``x * a + poly @ x``,
+    whose sums equal the textbook order bit for bit (IEEE addition commutes).
     """
     g = as_matrix(g)
     fro = float(np.sqrt(np.sum(g * g)))
     if not np.isfinite(fro) or fro == 0.0:
         raise NonFiniteError("newton_schulz needs a nonzero finite matrix")
-    x = g / fro
-    transposed = x.shape[0] > x.shape[1]
-    if transposed:
-        x = x.T
+    transposed = g.shape[0] > g.shape[1]
+    x = np.divide(g.T if transposed else g, fro, order="C")
     a, b, c = cfg.coeffs
     for _ in range(cfg.steps):
         gram = x @ x.T
-        poly = b * gram + c * (gram @ gram)
-        x = a * x + poly @ x
+        poly = gram @ gram
+        poly *= c
+        gram *= b
+        poly += gram
+        y = poly @ x
+        x *= a
+        x += y
     if transposed:
         x = x.T
     if not np.all(np.isfinite(x)):

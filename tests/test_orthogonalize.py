@@ -14,7 +14,7 @@ from muown.orthogonalize import (
     polar_exact,
 )
 
-from conftest import matrix_with_condition, orthonormal_rows
+from conftest import bitwise_equal, matrix_with_condition, orthonormal_rows
 
 
 class TestPolarExact:
@@ -45,6 +45,48 @@ class TestPolarExact:
     def test_unit_singular_values(self, rng):
         o = polar_exact(rng.standard_normal((4, 6)))
         assert np.allclose(singular_values(o), 1.0, atol=1e-12)
+
+
+def _textbook_newton_schulz(g, cfg):
+    """The iteration as first written, one fresh array per operation: the
+    bitwise reference for the in-place loop."""
+    g = np.asarray(g, dtype=np.float64)
+    fro = float(np.sqrt(np.sum(g * g)))
+    x = g / fro
+    transposed = x.shape[0] > x.shape[1]
+    if transposed:
+        x = x.T
+    a, b, c = cfg.coeffs
+    for _ in range(cfg.steps):
+        gram = x @ x.T
+        poly = b * gram + c * (gram @ gram)
+        x = a * x + poly @ x
+    if transposed:
+        x = x.T
+    return x
+
+
+def _pinned_inputs(rng):
+    yield "tall", rng.standard_normal((40, 12))
+    yield "wide", rng.standard_normal((12, 40))
+    yield "square", rng.standard_normal((16, 16))
+    yield "1xn", rng.standard_normal((1, 9))
+    yield "mx1", rng.standard_normal((9, 1))
+    yield "tall-F", np.asfortranarray(rng.standard_normal((30, 10)))
+    yield "wide-F", np.asfortranarray(rng.standard_normal((10, 30)))
+    yield "view", rng.standard_normal((50, 60))[3::2, 1::3]
+    yield "transposed-view", rng.standard_normal((20, 48)).T
+
+
+@pytest.mark.parametrize("cfg", [NSConfig(), NSConfig(steps=1),
+                                 NSConfig(steps=5, coeffs=AGGRESSIVE_COEFFS)],
+                         ids=["classic", "steps1", "aggressive"])
+def test_newton_schulz_equals_textbook_loop_bitwise(rng, cfg):
+    for name, g in _pinned_inputs(rng):
+        before = g.copy(order="K")
+        out = newton_schulz(g, cfg)
+        assert bitwise_equal(out, _textbook_newton_schulz(g, cfg)), name
+        assert bitwise_equal(g, before), name  # the input is never written to
 
 
 class TestNewtonSchulz:
@@ -96,12 +138,18 @@ class TestNewtonSchulz:
             assert np.sum(gn * o) >= 0.95 * exact
 
     def test_aggressive_preset_orbits_near_polar(self, rng):
-        # the 5-step slope-maximizing preset lands in its documented band for
-        # well-conditioned input but is intentionally non-convergent
+        # the 5-step slope-maximizing preset lands in its documented band on
+        # inputs above its floor, sigma_min(G) >= 5e-3 ||G||_F (which
+        # kappa * sqrt(min(m, n)) <= 200 guarantees), but is intentionally
+        # non-convergent: a square gaussian is below the floor and stays below
         cfg = NSConfig(steps=5, coeffs=AGGRESSIVE_COEFFS)
-        g = matrix_with_condition(rng, 6, 8, cond=5.0)
-        s = singular_values(newton_schulz(g, cfg))
-        assert s.min() >= S_LO and s.max() <= S_HI
+        for g in (matrix_with_condition(rng, 6, 8, cond=5.0),
+                  matrix_with_condition(rng, 6, 8, cond=80.0),
+                  rng.standard_normal((64, 256))):
+            s = singular_values(newton_schulz(g, cfg))
+            assert s.min() >= S_LO and s.max() <= S_HI
+        square = np.random.default_rng(0).standard_normal((256, 256))
+        assert singular_values(newton_schulz(square, cfg)).min() < S_LO
 
     def test_default_config_is_classic(self):
         cfg = NSConfig()

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import fields
 
 import numpy as np
@@ -75,6 +76,35 @@ def test_pooled_equals_serial_loop_bitwise(rng, monkeypatch, pool_calls, kind):
         for a, b in zip(pooled, serial):
             assert _same_state(a, b), (kind, a.name)
     assert pool_calls == [2, 2]  # two helpers, so all three matrices are heavy
+
+
+class _InlinePool:
+    """A pool whose helper drains the whole job list inside ``submit``, so the
+    order in which jobs are taken is the list's order, with no thread race."""
+
+    def submit(self, fn, *args):
+        done = Future()
+        done.set_result(fn(*args))
+        return done
+
+
+def test_pooled_jobs_are_taken_costliest_first(monkeypatch):
+    # the shard-large shapes, each with its bias
+    shapes = ((512, 128), (128, 512), (256, 256), (384, 192), (192, 384), (256, 64))
+    named = []
+    for i, (m, n) in enumerate(shapes):
+        named += [(f"W{i}", np.ones((m, n))), (f"b{i}", np.ones(m))]
+    layers = init_layers(named)
+    taken = []
+    monkeypatch.setattr(optimizers, "_workers", lambda: 2)
+    monkeypatch.setattr(optimizers, "_pool", lambda threads: _InlinePool())
+    monkeypatch.setattr(optimizers, "step_layer",
+                        lambda layer, grad, hp: taken.append(layer.name) or layer)
+    out = step_all(layers, [None] * len(layers), HyperParams(eta=0.01))
+    assert [l.name for l in out] == [name for name, _ in named]
+    # m * n * min(m, n), ties in declaration order; then the biases by size
+    assert taken == ["W2", "W3", "W4", "W0", "W1", "W5",
+                     "b0", "b3", "b2", "b5", "b4", "b1"]
 
 
 def test_failures_on_two_threads_raise_one_error_in_index_order(rng, monkeypatch):
