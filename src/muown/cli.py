@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import ConfigError
@@ -39,6 +40,11 @@ def main(argv=None) -> int:
                 raise ConfigError("config file must hold a JSON object")
         raw = apply_overrides(raw, args.overrides)
         cfg = config_from_dict(raw, preset=args.preset)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: cannot make directory {args.out!r}: "
+                              f"{exc.strerror}") from exc
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -80,6 +80,10 @@ class ExperimentConfig:
                  or "muown_fixed" not in (self.optimizer_kind, *self.sweep_optimizers),
                  "hp.weight_decay", "must be 0 with muown_fixed, whose row magnitudes "
                  f"decay would unfreeze; got {self.hp.weight_decay}")
+        for name in ("sweep_log2_min", "sweep_log2_max"):
+            k = getattr(self, name)
+            # exactly the k for which the grid rate 2.0 ** k is a positive finite float
+            _require(-1074 <= k <= 1023, name, f"must lie in [-1074, 1023], got {k}")
         _require(self.sweep_log2_max >= self.sweep_log2_min, "sweep_log2_max",
                  f"must be >= log2_min {self.sweep_log2_min}, got {self.sweep_log2_max}")
         _require(bool(self.rate_horizons) and min(self.rate_horizons) >= 1, "rate_horizons",
@@ -376,7 +380,8 @@ def _train(cfg: ExperimentConfig, spec: ModelSpec, layers: list[Layer],
             order = models.epoch_order(len(batches), cfg.seed, epoch)
         eta_t = eta_at(cfg.schedule, t, cfg.steps, hp.eta)
         loss, grads = loss_and_grad(spec, _params_as_set(layers), batches[order[slot]])
-        before, layers = layers, step_all(layers, grads, replace(hp, eta=eta_t))
+        step_hp = hp if eta_t == hp.eta else replace(hp, eta=eta_t)
+        before, layers = layers, step_all(layers, grads, step_hp)
         yield t, eta_t, loss, grads, before, layers
 
 

@@ -28,7 +28,7 @@ def as_vector(a) -> np.ndarray:
 def row_norms(a) -> np.ndarray:
     """Euclidean norm of each row; zero rows yield 0."""
     a = as_matrix(a)
-    return np.sqrt(np.sum(a * a, axis=1))
+    return np.sqrt((a * a).sum(axis=1))
 
 
 def proj_radial(a, x) -> np.ndarray:
@@ -42,7 +42,7 @@ def proj_radial(a, x) -> np.ndarray:
     x = as_matrix(x)
     if a.shape != x.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {x.shape}")
-    inner = np.sum(a * x, axis=1)
+    inner = (a * x).sum(axis=1)
     return a - inner[:, None] * x
 
 
@@ -63,7 +63,7 @@ def nuclear_norm(a) -> float:
 
 def frobenius_norm(a) -> float:
     a = as_matrix(a)
-    return float(np.sqrt(np.sum(a * a)))
+    return float(np.sqrt((a * a).sum()))
 
 
 def vec_l1(v) -> float:

@@ -37,7 +37,7 @@ import json
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -164,7 +164,7 @@ class SignumState:
 
 
 def _checked(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{what} contains NaN/Inf")
     return arr
 
@@ -365,7 +365,7 @@ def init_layers(named_params, matrix_kind: str = "muown") -> list[Layer]:
 
 
 def step_layer(layer: Layer, grad, hp: HyperParams) -> Layer:
-    return replace(layer, state=STEP_FNS[layer.kind](layer.state, grad, hp))
+    return Layer(layer.name, layer.kind, STEP_FNS[layer.kind](layer.state, grad, hp))
 
 
 # A parameter of at least this many entries is heavy: enough BLAS work per step

@@ -76,29 +76,43 @@ def newton_schulz(g, cfg: NSConfig = DEFAULT_NS) -> np.ndarray:
     the input is zero/non-finite or the iteration degenerates. The input is
     never written to.
 
-    The iteration works in place on one C-contiguous copy, three fresh arrays
-    per step; it forms ``c * gram @ gram + b * gram`` and ``x * a + poly @ x``,
-    whose sums equal the textbook order bit for bit (IEEE addition commutes).
+    The iteration allocates nothing per step: it works in place on one
+    C-contiguous ``x`` and three work arrays (``gram``, ``poly``, ``y``) made
+    once per call. It forms ``c * gram @ gram + b * gram`` and
+    ``x * a + poly @ x``, whose sums equal the textbook order bit for bit
+    (IEEE addition commutes). Each product is ``np.dot`` with ``out=``: at
+    desk sizes it costs less per call than ``@``, and it takes the same BLAS
+    routine (syrk for ``x x^T``, gemm otherwise), so the bits are those of
+    ``@``. The first step reads the prenormalized input ``src`` in the layout
+    the division gives it (F-ordered for a tall C-ordered input), as the
+    textbook loop does, because BLAS may round ``poly @ x`` differently for
+    the two layouts (it does at 100x37).
     """
     g = as_matrix(g)
-    fro = float(np.sqrt(np.sum(g * g)))
+    fro = float(np.sqrt((g * g).sum()))
     if not np.isfinite(fro) or fro == 0.0:
         raise NonFiniteError("newton_schulz needs a nonzero finite matrix")
     transposed = g.shape[0] > g.shape[1]
-    x = np.divide(g.T if transposed else g, fro, order="C")
+    src = np.divide(g.T if transposed else g, fro)
+    x = src if src.flags.c_contiguous else np.empty(src.shape)
     a, b, c = cfg.coeffs
+    k = x.shape[0]
+    gram = np.empty((k, k))
+    poly = np.empty((k, k))
+    y = np.empty_like(x)
     for _ in range(cfg.steps):
-        gram = x @ x.T
-        poly = gram @ gram
+        np.dot(src, src.T, out=gram)
+        np.dot(gram, gram, out=poly)
         poly *= c
         gram *= b
         poly += gram
-        y = poly @ x
-        x *= a
+        np.dot(poly, src, out=y)
+        np.multiply(src, a, out=x)
         x += y
+        src = x
     if transposed:
         x = x.T
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteError("newton_schulz iteration produced NaN/Inf")
     return x
 
@@ -120,7 +134,7 @@ def descent_direction(g, backend: str = "polar", ns: NSConfig = DEFAULT_NS) -> n
     minimizer set is the whole ball and zero is the fixpoint-preserving pick.
     """
     g = as_matrix(g)
-    if not np.any(g):
+    if not g.any():
         return np.zeros_like(g)
     if backend == "polar":
         return -polar_exact(g)

@@ -30,7 +30,7 @@ def check_rows_nonzero(norms: np.ndarray) -> np.ndarray:
     """Return ``norms`` unchanged, or raise ZeroRowError naming the first row
     whose magnitude is at or below ``EPS_ROW``."""
     bad = np.abs(norms) <= EPS_ROW
-    if np.any(bad):
+    if bad.any():
         i = int(np.argmax(bad))
         raise ZeroRowError(i, float(norms[i]))
     return norms
@@ -91,7 +91,7 @@ def grad_g(grad_w, d) -> np.ndarray:
     d = as_matrix(d)
     if grad_w.shape != d.shape:
         raise ValueError(f"shape mismatch {grad_w.shape} vs {d.shape}")
-    return np.sum(grad_w * d, axis=1)
+    return (grad_w * d).sum(axis=1)
 
 
 def grad_R(grad_w, g, r, d) -> np.ndarray:

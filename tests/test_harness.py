@@ -277,6 +277,12 @@ class TestCli:
         pytest.param("lr-sweep", ('lr_sweep.optimizers=["muown_fixed"]',
                                   "optimizer.weight_decay=0.1"),
                      id="lr-sweep-muown_fixed-optimizer.weight_decay=0.1"),
+        # a grid exponent k whose rate 2.0 ** k overflows or underflows to 0
+        pytest.param("lr-sweep", ("lr_sweep.log2_max=2000", "lr_sweep.log2_min=2000"),
+                     id="lr-sweep-lr_sweep.log2_min=2000"),
+        pytest.param("lr-sweep", ("lr_sweep.log2_max=-2000", "lr_sweep.log2_min=-2000"),
+                     id="lr-sweep-lr_sweep.log2_min=-2000"),
+        ("lr-sweep", "lr_sweep.log2_max=1024"),
     ])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, preset, override):
         overrides = override if isinstance(override, tuple) else (override,)
@@ -285,6 +291,14 @@ class TestCli:
         assert rc == 2
         field = overrides[-1].partition("=")[0]
         assert f"config error: {field}" in capsys.readouterr().err
+
+    def test_out_that_is_a_file_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("keep")
+        rc = cli_main(["run", "single", "--set", "steps=1", "--out", str(out)])
+        assert rc == 2
+        assert "config error: --out" in capsys.readouterr().err
+        assert out.read_text() == "keep"
 
     def test_readme_config_block_is_the_default_schema(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -76,6 +76,11 @@ def _pinned_inputs(rng):
     yield "wide-F", np.asfortranarray(rng.standard_normal((10, 30)))
     yield "view", rng.standard_normal((50, 60))[3::2, 1::3]
     yield "transposed-view", rng.standard_normal((20, 48)).T
+    # a 37x37 Gram, where BLAS rounds poly @ x differently for a C- and an
+    # F-ordered x: a loop that takes its first step on a C copy of a tall
+    # input, not on the transposed view the textbook loop uses, fails here
+    yield "tall-gram37", rng.standard_normal((100, 37))
+    yield "wide-gram37", rng.standard_normal((37, 100))
 
 
 @pytest.mark.parametrize("cfg", [NSConfig(), NSConfig(steps=1),

@@ -3,6 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from muown.serialize import MAGIC, read_record, write_record
 
@@ -80,3 +83,46 @@ def test_oversized_header_from_file(tmp_path, rows, cols):
     path.write_bytes(MAGIC + struct.pack("<QQ", rows, cols))
     with open(path, "rb") as fh, pytest.raises(ValueError):
         read_record(fh)
+
+
+def _record_bytes(a) -> bytes:
+    buf = io.BytesIO()
+    write_record(buf, a)
+    return buf.getvalue()
+
+
+_records = arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 4))).map(
+    _record_bytes)
+_sizes = st.integers(0, 2**64 - 1) | st.sampled_from(
+    [0, 1, 2, 2**31, 2**32, 2**61, 2**62, 2**63 - 1, 2**63, 2**64 - 1])
+
+
+@st.composite
+def _truncated(draw):
+    raw = draw(_records)
+    return raw[:draw(st.integers(0, len(raw)))]
+
+
+@st.composite
+def _flipped(draw):
+    raw = bytearray(draw(_records))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(raw) - 1))
+        raw[i] ^= draw(st.integers(1, 255))
+    return bytes(raw)
+
+
+@settings(max_examples=500, deadline=None)
+@given(raw=st.binary(max_size=64)
+       | st.binary(max_size=48).map(MAGIC.__add__)
+       | st.tuples(_sizes, _sizes, st.binary(max_size=64)).map(
+           lambda t: MAGIC + struct.pack("<QQ", t[0], t[1]) + t[2])
+       | _truncated() | _flipped())
+def test_read_record_on_any_bytes_is_an_array_or_a_value_error(raw):
+    # random bytes, any header, truncations and byte flips of valid records
+    try:
+        out = read_record(io.BytesIO(raw))
+    except ValueError:
+        return
+    assert out.dtype == np.float64 and out.ndim == 2
+    assert 20 + 8 * out.size <= len(raw)
