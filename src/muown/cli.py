@@ -34,10 +34,13 @@ def main(argv=None) -> int:
     try:
         raw = {}
         if args.config:
-            with open(args.config) as fh:
-                raw = json.load(fh)
+            try:
+                with open(args.config, encoding="utf-8") as fh:
+                    raw = json.load(fh)
+            except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+                raise ConfigError(f"--config: cannot read {args.config!r}: {exc}") from exc
             if not isinstance(raw, dict):
-                raise ConfigError("config file must hold a JSON object")
+                raise ConfigError(f"--config: {args.config!r} must hold a JSON object")
         raw = apply_overrides(raw, args.overrides)
         cfg = config_from_dict(raw, preset=args.preset)
         try:
@@ -45,7 +48,7 @@ def main(argv=None) -> int:
         except OSError as exc:
             raise ConfigError(f"--out: cannot make directory {args.out!r}: "
                               f"{exc.strerror}") from exc
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

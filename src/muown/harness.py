@@ -70,6 +70,8 @@ class ExperimentConfig:
                           ("num_batches", 1), ("batch_size", 1), ("noise_checkpoints", 1)):
             value = getattr(self, name)
             _require(value >= low, name, f"must be >= {low}, got {value}")
+        _require(self.preset != "noise-compare" or self.num_batches >= 2, "num_batches",
+                 f"noise-compare needs >= 2 batches to measure noise, got {self.num_batches}")
         _require(self.model_kind in models.MODEL_KINDS, "model_kind",
                  f"unknown kind {self.model_kind!r}")
         _require(self.optimizer_kind in INIT_FNS, "optimizer_kind",
@@ -230,6 +232,8 @@ def apply_overrides(raw: dict, overrides) -> dict:
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
+        except RecursionError as exc:
+            raise ConfigError(f"--set {key}: value nested too deeply") from exc
         node = out
         parts = key.split(".")
         for part in parts[:-1]:

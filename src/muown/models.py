@@ -18,8 +18,6 @@ identical parameters and batches.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -28,7 +26,6 @@ import numpy as np
 from .errors import NonFiniteError
 from .linalg import singular_values
 from .rng import SplitMix64, derive_seed
-from .serialize import atomic_open, read_record, write_record
 
 MODEL_KINDS = ("quadratic", "logistic", "mlp2")
 
@@ -214,22 +211,25 @@ def finite_difference_grad(spec: ModelSpec, params: ParamSet, batch: Optional[Ba
 def _init_matrix(stream: SplitMix64, m: int, n: int) -> np.ndarray:
     """Uniform(-a, a) init with per-row rejection so no row is near zero.
 
-    Rows are drawn in stream order, one block for the whole matrix. A rejected
-    row i is redrawn from the next n draws, which are the block's row i + 1,
-    so rows i + 1.. shift up one and only the last row is drawn afresh: the
-    stream is consumed exactly as by drawing and checking row by row.
+    Rows are drawn in stream order, one block for the whole matrix, and each
+    pass checks the norms of every row from row i on at once. The first
+    rejected row is redrawn from the next n draws, which are the block's next
+    row, so the rows below it shift up one and only the last row is drawn
+    afresh: the stream is consumed exactly as by drawing and checking row by
+    row.
     """
     a = 1.0 / np.sqrt(n)
     floor = _ROW_FLOOR_FRAC * a * np.sqrt(n)
     w = stream.uniform_array((m, n), -a, a)
     i = 0
-    while i < m:
-        if np.sqrt(np.sum(w[i] * w[i])) <= floor:
-            w[i:-1] = w[i + 1:]
-            w[-1] = stream.uniform_array((n,), -a, a)
-        else:
-            i += 1
-    return w
+    while True:
+        rest = w[i:]
+        low = np.sqrt((rest * rest).sum(axis=1)) <= floor
+        if not low.any():
+            return w
+        i += int(low.argmax())
+        w[i:-1] = w[i + 1:]
+        w[-1] = stream.uniform_array((n,), -a, a)
 
 
 def init_params(kind: str, dims: dict, seed: int) -> ParamSet:
@@ -332,37 +332,3 @@ def full_dataset_gradient(spec: ModelSpec, params: ParamSet, batches):
                 a += g
     k = len(batches)
     return total_loss / k, [a / k for a in acc]
-
-
-# --------------------------------------------------------------------------
-# dataset dump/load (MWN1 records + JSON manifest)
-
-
-def save_dataset(dirpath, kind: str, batches) -> None:
-    os.makedirs(dirpath, exist_ok=True)
-    with atomic_open(os.path.join(dirpath, "data.mwn1")) as fh:
-        for b in batches:
-            write_record(fh, b.inputs)
-            write_record(fh, b.targets)
-    manifest = {
-        "kind": kind,
-        "num_batches": len(batches),
-        "target_ndim": int(batches[0].targets.ndim),
-        "seed_info": [b.seed_info for b in batches],
-    }
-    with atomic_open(os.path.join(dirpath, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-
-
-def load_dataset(dirpath) -> tuple[str, list[Batch]]:
-    with open(os.path.join(dirpath, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    batches = []
-    with open(os.path.join(dirpath, "data.mwn1"), "rb") as fh:
-        for i in range(manifest["num_batches"]):
-            inputs = read_record(fh)
-            targets = read_record(fh)
-            if manifest["target_ndim"] == 1:
-                targets = targets.ravel()
-            batches.append(Batch(inputs, targets, manifest["seed_info"][i]))
-    return manifest["kind"], batches

@@ -283,6 +283,8 @@ class TestCli:
         pytest.param("lr-sweep", ("lr_sweep.log2_max=-2000", "lr_sweep.log2_min=-2000"),
                      id="lr-sweep-lr_sweep.log2_min=-2000"),
         ("lr-sweep", "lr_sweep.log2_max=1024"),
+        # one batch leaves noise_coefficients no batch-to-batch deviation to measure
+        ("noise-compare", "model.num_batches=1"),
     ])
     def test_bad_field_exits_2_naming_it(self, tmp_path, capsys, preset, override):
         overrides = override if isinstance(override, tuple) else (override,)
@@ -332,6 +334,25 @@ class TestCli:
         rc = cli_main(["run", "drift", "--config", str(bad),
                        "--out", str(tmp_path / "x")])
         assert rc == 2
+
+    @pytest.mark.parametrize("content", [
+        b'\xff\xfe{"steps": 2}',  # a UTF-16 byte-order mark: not UTF-8
+        b'{"steps": 2, "seed": "\xe9"}',  # a latin-1 byte inside a string
+        b'{"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",  # too deep for json
+    ], ids=["utf16-bom", "latin1-byte", "nested-100000"])
+    def test_unreadable_config_exits_2_naming_it(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        rc = cli_main(["run", "single", "--config", str(bad), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "config error: --config" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_deeply_nested_set_exits_2_naming_it(self, tmp_path, capsys):
+        rc = cli_main(["run", "single", "--set", "seed=" + "[" * 100_000 + "]" * 100_000,
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "config error: --set seed" in capsys.readouterr().err
 
     def test_byte_identical_reruns_via_cli(self, tmp_path):
         for name in ("r1", "r2"):

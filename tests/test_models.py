@@ -1,7 +1,7 @@
-import os
-
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from muown import models
 from muown.models import (
@@ -12,17 +12,15 @@ from muown.models import (
     finite_difference_grad,
     full_dataset_gradient,
     init_params,
-    load_dataset,
     loss_and_grad,
     make_model,
     quadratic_spec,
-    save_dataset,
     synth_data,
 )
 from muown.linalg import row_norms
 from muown.rng import SplitMix64, derive_seed
 
-from conftest import bitwise_equal, write_record_failing_after
+from conftest import bitwise_equal
 
 MLP_DIMS = {"d_in": 5, "hidden": 7, "d_out": 3}
 
@@ -137,6 +135,41 @@ class TestMlp2:
                 assert np.all(row_norms(p.value) > 0)
 
 
+def per_row_init_matrix(stream, m, n):
+    """The reference init: one block draw, then each row's norm checked on its own."""
+    a = 1.0 / np.sqrt(n)
+    floor = models._ROW_FLOOR_FRAC * a * np.sqrt(n)
+    w = stream.uniform_array((m, n), -a, a)
+    i = 0
+    while i < m:
+        if np.sqrt(np.sum(w[i] * w[i])) <= floor:
+            w[i:-1] = w[i + 1:]
+            w[-1] = stream.uniform_array((n,), -a, a)
+        else:
+            i += 1
+    return w
+
+
+class TestInitMatrix:
+    # At floor fraction 0.9 most draws are rejected (n = 1 keeps 10% of them,
+    # n = 2 about 2%), so the shape stays small enough to finish quickly.
+    @pytest.mark.parametrize("frac, max_m, max_n",
+                             [(models._ROW_FLOOR_FRAC, 40, 40), (0.9, 12, 2)])
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), m=st.integers(1, 40), n=st.integers(1, 40))
+    @example(seed=0, m=1, n=1)
+    @example(seed=7, m=1, n=2)
+    @example(seed=7, m=30, n=1)
+    def test_equals_the_per_row_loop_bitwise(self, frac, max_m, max_n, seed, m, n):
+        m, n = min(m, max_m), min(n, max_n)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(models, "_ROW_FLOOR_FRAC", frac)
+            fast, ref = SplitMix64(seed), SplitMix64(seed)
+            w = models._init_matrix(fast, m, n)
+            assert bitwise_equal(w, per_row_init_matrix(ref, m, n))
+        assert fast._state == ref._state
+
+
 class TestSynthData:
     def test_same_seed_bitwise_identical(self):
         a = synth_data("mlp2", MLP_DIMS, seed=5, num_batches=3, batch_size=4)
@@ -170,36 +203,6 @@ class TestSynthData:
             manual = g if manual is None else [a + x for a, x in zip(manual, g)]
         for a, m in zip(grads, manual):
             assert np.allclose(a, m / 3, rtol=1e-15)
-
-
-class TestDatasetIO:
-    def test_round_trip(self, tmp_path):
-        batches = synth_data("logistic", {"features": 3}, seed=9, num_batches=2,
-                             batch_size=4)
-        save_dataset(tmp_path, "logistic", batches)
-        kind, back = load_dataset(tmp_path)
-        assert kind == "logistic"
-        for a, b in zip(batches, back):
-            assert bitwise_equal(a.inputs, b.inputs)
-            assert bitwise_equal(a.targets, b.targets)
-            assert a.seed_info == b.seed_info
-
-    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch):
-        batches = synth_data("logistic", {"features": 3}, seed=9, num_batches=2,
-                             batch_size=4)
-        fresh, old = tmp_path / "fresh", tmp_path / "old"
-        save_dataset(old, "logistic", batches)
-        before = (old / "data.mwn1").read_bytes()
-        monkeypatch.setattr(models, "write_record",
-                            write_record_failing_after(models.write_record, 3))
-        for path in (fresh, old):
-            with pytest.raises(OSError):
-                save_dataset(path, "logistic", synth_data("logistic", {"features": 3},
-                                                          seed=10, num_batches=2,
-                                                          batch_size=4))
-        assert os.listdir(fresh) == []
-        assert sorted(os.listdir(old)) == ["data.mwn1", "manifest.json"]
-        assert (old / "data.mwn1").read_bytes() == before
 
 
 class TestParamSet:
