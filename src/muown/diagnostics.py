@@ -26,7 +26,7 @@ from .linalg import (
     singular_values,
     vec_l1,
 )
-from .reparam import ReparamView, check_rows_nonzero, grad_R, grad_g
+from .reparam import ReparamView, check_rows_nonzero
 
 
 @dataclass(frozen=True)
@@ -36,15 +36,6 @@ class DecompReport:
     spectral_sq_direct: float # ||W||^2 straight from the SVD
     residual: float           # relative gap between the two sides
     negative_g_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "rowscale_sq": self.rowscale_sq,
-            "coherence": self.coherence,
-            "spectral_sq_direct": self.spectral_sq_direct,
-            "residual": self.residual,
-            "negative_g_count": self.negative_g_count,
-        }
 
 
 @dataclass(frozen=True)
@@ -57,18 +48,6 @@ class NoiseReport:
     zeta_R: float
     muon_coeff: float   # zeta_W * sigma_W
     muown_coeff: float  # zeta_g * sigma_g + zeta_R * sigma_R
-
-    def to_dict(self) -> dict:
-        return {
-            "sigma_W": self.sigma_W,
-            "sigma_g": self.sigma_g,
-            "sigma_R": self.sigma_R,
-            "zeta_W": self.zeta_W,
-            "zeta_g": self.zeta_g,
-            "zeta_R": self.zeta_R,
-            "muon_coeff": self.muon_coeff,
-            "muown_coeff": self.muown_coeff,
-        }
 
 
 def spectral_decomposition(w, g=None, sigma=None) -> DecompReport:
@@ -162,14 +141,14 @@ def noise_coefficients(true_grad_w, sample_grad_ws, view: ReparamView) -> NoiseR
             raise ValueError(f"sample shape {s.shape} != true shape {true_grad_w.shape}")
     m, n = true_grad_w.shape
 
-    true_g = grad_g(true_grad_w, view.D)
-    true_R = grad_R(true_grad_w, view.g, view.r, view.D)
+    true_g, true_R = view.split(true_grad_w)
 
     sq_w = sq_g = sq_r = 0.0
     for s in samples:
+        s_g, s_R = view.split(s)
         sq_w += nuclear_norm(true_grad_w - s) ** 2
-        sq_g += vec_l1(true_g - grad_g(s, view.D)) ** 2
-        sq_r += nuclear_norm(true_R - grad_R(s, view.g, view.r, view.D)) ** 2
+        sq_g += vec_l1(true_g - s_g) ** 2
+        sq_r += nuclear_norm(true_R - s_R) ** 2
     k = len(samples)
     sigma_w = float(np.sqrt(sq_w / k))
     sigma_g = float(np.sqrt(sq_g / k))

@@ -32,7 +32,7 @@ from .optimizers import (
     save_checkpoint,
     step_all,
 )
-from .reparam import ReparamView, grad_R, grad_g, init_view, view_from_state
+from .reparam import ReparamView, init_view, view_from_state
 from .schedule import ScheduleSpec, eta_at
 
 CSV_SCHEMA_LINE = "#schema=1"
@@ -295,8 +295,7 @@ _LAYER_METRICS = ("spec_norm", "g_inf", "coherence", "grad_dual", "upd_norm")
 def _layer_metrics(layer: Layer, grad: np.ndarray, prev_param: np.ndarray) -> dict:
     w = layer.state.param
     view = _view_of(layer.state)
-    gg = grad_g(grad, view.D)
-    gr = grad_R(grad, view.g, view.r, view.D)
+    gg, gr = view.split(grad)
     sigma = singular_values(w)
     report = spectral_decomposition(w, g=view.g, sigma=sigma)
     return {
@@ -433,10 +432,7 @@ def _first_batch(batches: list[Batch], seed: int) -> Batch:
 
 def _params_as_set(layers: list[Layer]) -> ParamSet:
     """The layers' parameters under their names; models look them up by name."""
-    return ParamSet(
-        models.Param(l.name, l.state.param, "matrix" if l.state.param.ndim == 2 else "elementwise")
-        for l in layers
-    )
+    return ParamSet(models.Param(l.name, l.state.param) for l in layers)
 
 
 def _write_verdict(out_dir: Optional[str], preset: str, assertions: list[dict]) -> dict:
@@ -528,47 +524,40 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
     For each horizon T, runs the sign-descent variant with beta1 = 0, exact
     polar, and eta = gamma = sqrt(Delta1/(L T)), then asserts the averaged
     dual gradient norm is within the proven 4*sqrt(L*Delta1/T) bound and that
-    the per-step split descent inequality holds with at most 1e-9 slack.
+    the per-step split descent inequality holds with at most 1e-9 slack. The
+    schedule is always constant: ``cfg.schedule`` is ignored.
     """
-    from .optimizers import init_muown_signum, muown_signum_step
-
-    target = np.zeros((2, 2))
-    spec = models.quadratic_spec(target)
-    w0 = np.eye(2)
+    spec = models.quadratic_spec(np.zeros((2, 2)))
+    start = init_layers([("W", np.eye(2))], matrix_kind="muown_signum")
+    delta1 = loss_and_grad(spec, _params_as_set(start), None)[0] - spec.optimum
     big_l = spec.smoothness
     assertions = []
     all_rows = []
 
     for horizon in cfg.rate_horizons:
-        init_loss, _ = loss_and_grad(
-            spec, ParamSet([models.Param("W", w0, "matrix")]), None)
-        delta1 = init_loss - spec.optimum
         step_size = math.sqrt(delta1 / (big_l * horizon))
         hp = HyperParams(eta=step_size, gamma=step_size, beta1=0.0,
                          backend="polar", rms_scale_on=False)
-        state = init_muown_signum(w0)
+        run_cfg = replace(cfg, steps=horizon, schedule=ScheduleSpec())
         dual_sum = 0.0
         worst_slack = -math.inf
+        step, layers = 0, start
         try:
-            for t in range(horizon):
-                pset = ParamSet([models.Param("W", state.param, "matrix")])
-                loss, grads = loss_and_grad(spec, pset, None)
-                view = _view_of(state)
-                gg = grad_g(grads[0], view.D)
-                gr = grad_R(grads[0], view.g, view.r, view.D)
+            # the quadratic ignores its batch, so one placeholder serves every step
+            for t, _, loss, grads, before, layers in _train(run_cfg, spec, start, [None], hp):
+                step = t + 1
+                gg, gr = _view_of(before[0].state).split(grads[0])
                 dual = dual_norm(gg, gr)
                 dual_sum += dual
-                state = muown_signum_step(state, grads[0], hp)
-                loss_after, _ = loss_and_grad(
-                    spec, ParamSet([models.Param("W", state.param, "matrix")]), None)
+                loss_after, _ = loss_and_grad(spec, _params_as_set(layers), None)
                 descent_rhs = (-step_size * vec_l1(gg) - step_size * nuclear_norm(gr)
                                + 0.5 * big_l * (step_size ** 2 + step_size ** 2))
                 slack = (loss_after - loss) - descent_rhs
                 worst_slack = max(worst_slack, slack)
-                all_rows.append([horizon, t + 1, float(loss), float(dual), float(slack)])
+                all_rows.append([horizon, step, float(loss), float(dual), float(slack)])
         except _RUN_ERRORS as exc:
             assertions.append({"name": f"run_completed_T{horizon}", "pass": False,
-                               "detail": _stopped(_failure(exc, t + 1, [], "W"))})
+                               "detail": _stopped(_failure(exc, step, layers, "W"))})
             continue
         avg_dual = dual_sum / horizon
         bound = 4.0 * math.sqrt(big_l * delta1 / horizon)
@@ -650,7 +639,6 @@ def preset_lr_sweep(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dic
         for eta in etas:
             layers = init_layers(params.named_values(), matrix_kind=opt_kind)
             final_loss = math.inf
-            diverged = False
             steps_done = 0
             try:
                 # A step is counted when the loss it started from is below
@@ -658,23 +646,15 @@ def preset_lr_sweep(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dic
                 for t, _, loss, _, _, stepped in _train(cfg, spec, layers, batches,
                                                         replace(cfg.hp, eta=eta)):
                     if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
-                        diverged = True
                         break
-                    layers, steps_done, final_loss = stepped, t + 1, loss
-            except (NonFiniteError, ZeroRowError, StepAllError):
-                diverged = True
-            if not diverged:
-                try:
-                    final_loss, _ = loss_and_grad(
-                        spec, _params_as_set(layers), first_batch)
-                    if not math.isfinite(final_loss) or final_loss > DIVERGENCE_LOSS:
-                        diverged = True
-                except (NonFiniteError, ZeroRowError):
-                    diverged = True
-            if diverged:
-                final_loss = math.inf
-            rows.append([opt_kind, float(eta), float(final_loss), steps_done,
-                         int(diverged)])
+                    layers, steps_done = stepped, t + 1
+                else:
+                    final_loss, _ = loss_and_grad(spec, _params_as_set(layers), first_batch)
+            except _RUN_ERRORS:
+                pass  # final_loss stays inf: the cell diverged
+            diverged = not (math.isfinite(final_loss) and final_loss <= DIVERGENCE_LOSS)
+            rows.append([opt_kind, float(eta), math.inf if diverged else float(final_loss),
+                         steps_done, int(diverged)])
     expected = len(etas) * len(cfg.sweep_optimizers)
     _write_run(out_dir, ["optimizer", "eta", "final_loss", "steps_done", "diverged"],
                rows, {"preset": "lr-sweep", "cells": len(rows)})

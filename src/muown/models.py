@@ -38,7 +38,6 @@ _ROW_FLOOR_FRAC = 0.05
 class Param:
     name: str
     value: np.ndarray
-    kind: str  # "matrix" (2-D, matrix-geometry) or "elementwise" (1-D)
 
 
 class ParamSet:
@@ -65,12 +64,6 @@ class ParamSet:
                 return p
         raise KeyError(key)
 
-    def names(self):
-        return [p.name for p in self.params]
-
-    def values(self):
-        return [p.value for p in self.params]
-
     def named_values(self):
         return [(p.name, p.value) for p in self.params]
 
@@ -96,10 +89,9 @@ class ParamSet:
 class Batch:
     inputs: np.ndarray
     targets: np.ndarray
-    seed_info: str
 
     def __post_init__(self):
-        if not (np.all(np.isfinite(self.inputs)) and np.all(np.isfinite(self.targets))):
+        if not (np.isfinite(self.inputs).all() and np.isfinite(self.targets).all()):
             raise NonFiniteError("batch contains NaN/Inf")
         if self.inputs.shape[0] < 1:
             raise ValueError("batch size must be >= 1")
@@ -108,7 +100,6 @@ class Batch:
 @dataclass(frozen=True)
 class ModelSpec:
     kind: str
-    dims: dict
     smoothness: Optional[float]  # exact for quadratic, bound/estimate otherwise
     optimum: Optional[float]
     target: Optional[np.ndarray] = None  # quadratic anchor W*
@@ -125,7 +116,6 @@ def quadratic_spec(target) -> ModelSpec:
     target = np.asarray(target, dtype=np.float64)
     return ModelSpec(
         kind="quadratic",
-        dims={"m": target.shape[0], "n": target.shape[1]},
         smoothness=1.0,
         optimum=0.0,
         target=target,
@@ -152,7 +142,7 @@ def loss_and_grad(spec: ModelSpec, params: ParamSet, batch: Optional[Batch]):
     if spec.kind == "quadratic":
         w = params["W"].value
         diff = w - spec.target
-        return float(0.5 * np.sum(diff * diff)), [diff]
+        return float(0.5 * (diff * diff).sum()), [diff]
 
     if batch is None:
         raise ValueError(f"{spec.kind} models need a batch")
@@ -162,7 +152,7 @@ def loss_and_grad(spec: ModelSpec, params: ParamSet, batch: Optional[Batch]):
         w = params["w"].value  # 1 x d
         z = x @ w[0]
         margin = -y * z
-        loss = float(np.mean(np.logaddexp(0.0, margin)))
+        loss = float(np.logaddexp(0.0, margin).mean())
         coeff = -y * _sigmoid(margin) / x.shape[0]
         return loss, [(coeff @ x)[None, :]]
 
@@ -170,14 +160,14 @@ def loss_and_grad(spec: ModelSpec, params: ParamSet, batch: Optional[Batch]):
         pred, hidden = _mlp2_forward(params, x)
         resid = pred - y
         bsz = x.shape[0]
-        loss = float(0.5 * np.sum(resid * resid) / bsz)
+        loss = float(0.5 * (resid * resid).sum() / bsz)
         dpred = resid / bsz
         w2 = params["W2"].value
         d_w2 = dpred.T @ hidden
-        d_b2 = np.sum(dpred, axis=0)
+        d_b2 = dpred.sum(axis=0)
         dhid = (dpred @ w2) * (1.0 - hidden * hidden)
         d_w1 = dhid.T @ x
-        d_b1 = np.sum(dhid, axis=0)
+        d_b1 = dhid.sum(axis=0)
         return loss, [d_w1, d_b1, d_w2, d_b2]
 
     raise ValueError(f"unknown model kind {spec.kind!r}")
@@ -235,16 +225,16 @@ def _init_matrix(stream: SplitMix64, m: int, n: int) -> np.ndarray:
 def init_params(kind: str, dims: dict, seed: int) -> ParamSet:
     stream = SplitMix64(derive_seed(seed, 0x1217))
     if kind == "quadratic":
-        return ParamSet([Param("W", _init_matrix(stream, dims["m"], dims["n"]), "matrix")])
+        return ParamSet([Param("W", _init_matrix(stream, dims["m"], dims["n"]))])
     if kind == "logistic":
-        return ParamSet([Param("w", _init_matrix(stream, 1, dims["features"]), "matrix")])
+        return ParamSet([Param("w", _init_matrix(stream, 1, dims["features"]))])
     if kind == "mlp2":
         d_in, hidden, d_out = dims["d_in"], dims["hidden"], dims["d_out"]
         return ParamSet([
-            Param("W1", _init_matrix(stream, hidden, d_in), "matrix"),
-            Param("b1", stream.uniform_array((hidden,), -0.1, 0.1), "elementwise"),
-            Param("W2", _init_matrix(stream, d_out, hidden), "matrix"),
-            Param("b2", stream.uniform_array((d_out,), -0.1, 0.1), "elementwise"),
+            Param("W1", _init_matrix(stream, hidden, d_in)),
+            Param("b1", stream.uniform_array((hidden,), -0.1, 0.1)),
+            Param("W2", _init_matrix(stream, d_out, hidden)),
+            Param("b2", stream.uniform_array((d_out,), -0.1, 0.1)),
         ])
     raise ValueError(f"unknown model kind {kind!r}")
 
@@ -260,10 +250,7 @@ def synth_data(kind: str, dims: dict, seed: int, num_batches: int,
 
     if kind == "quadratic":
         # Data-free objective; emit placeholder batches so drivers can cycle.
-        for i in range(num_batches):
-            batches.append(Batch(np.zeros((1, 1)), np.zeros((1, 1)),
-                                 f"quadratic:seed={seed}:batch={i}"))
-        return batches
+        return [Batch(np.zeros((1, 1)), np.zeros((1, 1))) for _ in range(num_batches)]
 
     if kind == "logistic":
         d = dims["features"]
@@ -273,8 +260,7 @@ def synth_data(kind: str, dims: dict, seed: int, num_batches: int,
         y = np.where(x @ planted + 0.3 * noise >= 0.0, 1.0, -1.0)
         for i in range(num_batches):
             sl = slice(i * batch_size, (i + 1) * batch_size)
-            batches.append(Batch(x[sl].copy(), y[sl].copy(),
-                                 f"logistic:seed={seed}:batch={i}"))
+            batches.append(Batch(x[sl].copy(), y[sl].copy()))
         return batches
 
     if kind == "mlp2":
@@ -284,8 +270,7 @@ def synth_data(kind: str, dims: dict, seed: int, num_batches: int,
         y = clean + 0.05 * stream.gaussian_array(clean.shape)
         for i in range(num_batches):
             sl = slice(i * batch_size, (i + 1) * batch_size)
-            batches.append(Batch(x[sl].copy(), y[sl].copy(),
-                                 f"mlp2:seed={seed}:batch={i}"))
+            batches.append(Batch(x[sl].copy(), y[sl].copy()))
         return batches
 
     raise ValueError(f"unknown model kind {kind!r}")
@@ -303,10 +288,9 @@ def make_model(kind: str, dims: dict, seed: int, num_batches: int = 8,
     elif kind == "logistic":
         x_all = np.concatenate([b.inputs for b in batches], axis=0)
         lbound = 0.25 * float(singular_values(x_all)[0] ** 2) / x_all.shape[0]
-        spec = ModelSpec(kind="logistic", dims=dict(dims), smoothness=lbound,
-                         optimum=None)
+        spec = ModelSpec(kind="logistic", smoothness=lbound, optimum=None)
     else:
-        spec = ModelSpec(kind="mlp2", dims=dict(dims), smoothness=None, optimum=None)
+        spec = ModelSpec(kind="mlp2", smoothness=None, optimum=None)
     return spec, params, batches
 
 

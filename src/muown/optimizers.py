@@ -10,8 +10,8 @@ Six step kinds are provided:
                      initial values (no magnitude states at all).
 * ``muown_signum`` - the analysis-friendly variant: no Nesterov mixing, no
                      RMS-matching step scale, sign descent on the magnitudes
-                     with its own stepsize ``gamma``, momenta initialized to
-                     the first gradient.
+                     with its own stepsize ``gamma``, momenta taken from the
+                     first gradient.
 * ``muon``         - spectral steepest descent on the raw weight with
                      simplified Nesterov momentum and decoupled weight decay.
 * ``adamw``        - textbook bias-corrected AdamW (used for 1-D parameters).
@@ -20,11 +20,12 @@ Six step kinds are provided:
 
 The variants share one skeleton, so each step body holds only its magnitude
 rule (Adam, frozen or sign) and its momentum initialization. ``_grad_for``
-checks every kind's gradient; ``_split`` rebuilds the carrier and splits the
-gradient for the three muown kinds; ``_nesterov`` is Muon's direction step,
-used unchanged by ``muon``, ``muown`` and ``muown_fixed``; ``_adam`` is the
-moment update of ``adamw`` and of muown's magnitudes; ``_recompose`` rebuilds
-the effective weight of the muown kinds, with the decoupled decay.
+checks every kind's gradient; the three muown kinds split it with
+``ReparamView.split`` on the view rebuilt from their state; ``_nesterov`` is
+Muon's direction step, used unchanged by ``muon``, ``muown`` and
+``muown_fixed``; ``_adam`` is the moment update of ``adamw`` and of muown's
+magnitudes; ``_recompose`` rebuilds the effective weight of the muown kinds,
+with the decoupled decay.
 
 Every step function is pure: it returns a fresh state and never mutates its
 inputs, which is what makes per-layer execution order irrelevant: ``step_all``
@@ -45,7 +46,7 @@ import numpy as np
 from .errors import NonFiniteError, StepAllError
 from .linalg import as_matrix, row_norms
 from .orthogonalize import DEFAULT_NS, NSConfig, descent_direction
-from .reparam import check_rows_nonzero, grad_R, grad_g, view_from_state
+from .reparam import check_rows_nonzero, view_from_state
 from .serialize import atomic_open, read_record, write_record
 
 if TYPE_CHECKING:
@@ -136,8 +137,8 @@ class MuownSignumState:
     param: np.ndarray
     g: np.ndarray
     r: np.ndarray
-    M: Optional[np.ndarray] = None  # None until the first step (init to first grad)
-    m: Optional[np.ndarray] = None
+    M: np.ndarray  # direction momentum; the first step starts it from its gradient
+    m: np.ndarray  # magnitude momentum; likewise
     t: int = 0
 
 
@@ -189,7 +190,7 @@ def init_muown_fixed(w) -> MuownFixedState:
 
 def init_muown_signum(w) -> MuownSignumState:
     w, g, r = _init_magnitudes(w)
-    return MuownSignumState(param=w, g=g, r=r)
+    return MuownSignumState(param=w, g=g, r=r, M=np.zeros_like(w), m=np.zeros_like(g))
 
 
 def init_muon(w) -> MuonState:
@@ -217,12 +218,6 @@ def _grad_for(state, grad) -> np.ndarray:
     if grad.shape != state.param.shape:
         raise ValueError(f"gradient shape {grad.shape} != param shape {state.param.shape}")
     return grad
-
-
-def _split(state, grad_w):
-    """The carrier R and the gradients (grad_g, grad_R), from the stored (W, g, r)."""
-    view = view_from_state(state.param, state.g, state.r)
-    return view.R, grad_g(grad_w, view.D), grad_R(grad_w, view.g, view.r, view.D)
 
 
 def _nesterov(M_prev, grad, shape, hp: HyperParams):
@@ -265,11 +260,12 @@ def muown_step(state: MuownState, grad_w, hp: HyperParams) -> MuownState:
     carrier row norms, and recompose the effective weight.
     """
     grad_w = _grad_for(state, grad_w)
-    R, gg, gR = _split(state, grad_w)
+    view = view_from_state(state.param, state.g, state.r)
+    gg, gR = view.split(grad_w)
     M, step = _nesterov(state.M, gR, state.param.shape, hp)
     t = state.t + 1
     m_g, v_g, delta = _adam(state.m_g, state.v_g, gg, t, hp)
-    w_new, g, r = _recompose(state, state.g - delta, R + step, hp)
+    w_new, g, r = _recompose(state, state.g - delta, view.R + step, hp)
     return MuownState(param=w_new, g=g, r=r, M=M, m_g=m_g, v_g=v_g, t=t)
 
 
@@ -279,24 +275,27 @@ def muown_fixed_step(state: MuownFixedState, grad_w, hp: HyperParams) -> MuownFi
         raise ValueError("weight decay would unfreeze the row magnitudes; "
                          "muown_fixed requires weight_decay == 0")
     grad_w = _grad_for(state, grad_w)
-    R, _, gR = _split(state, grad_w)
+    view = view_from_state(state.param, state.g, state.r)
+    _, gR = view.split(grad_w)
     M, step = _nesterov(state.M, gR, state.param.shape, hp)
-    w_new, g, r = _recompose(state, state.g, R + step, hp)
+    w_new, g, r = _recompose(state, state.g, view.R + step, hp)
     return MuownFixedState(param=w_new, g=g, r=r, M=M, t=state.t + 1)
 
 
 def muown_signum_step(state: MuownSignumState, grad_w, hp: HyperParams) -> MuownSignumState:
     """The sign-descent variant used by the convergence analysis.
 
-    Momentum buffers start at the first gradient rather than zero; the
-    direction step has no Nesterov mixing and no RMS-matching factor; the
-    magnitude step is g <- g - gamma * sgn(m) with sgn(0) = 0.
+    The first step (t = 0) takes both momentum buffers from its gradient, not
+    from their zero initial values; the direction step has no Nesterov mixing
+    and no RMS-matching factor; the magnitude step is g <- g - gamma * sgn(m)
+    with sgn(0) = 0.
     """
     grad_w = _grad_for(state, grad_w)
-    R, gg, gR = _split(state, grad_w)
-    M = hp.beta1 * (gR if state.M is None else state.M) + gR
-    m = hp.beta1 * (gg if state.m is None else state.m) + gg
-    R = R + hp.eta * descent_direction(M, hp.backend, hp.ns)
+    view = view_from_state(state.param, state.g, state.r)
+    gg, gR = view.split(grad_w)
+    M = hp.beta1 * (gR if state.t == 0 else state.M) + gR
+    m = hp.beta1 * (gg if state.t == 0 else state.m) + gg
+    R = view.R + hp.eta * descent_direction(M, hp.backend, hp.ns)
     gamma = hp.eta if hp.gamma is None else hp.gamma
     w_new, g, r = _recompose(state, state.g - gamma * np.sign(m), R, hp)
     return MuownSignumState(param=w_new, g=g, r=r, M=M, m=m, t=state.t + 1)
@@ -466,34 +465,21 @@ def step_all(layers, grads, hp: HyperParams) -> list[Layer]:
 # checkpointing: one .mwn1 file of records per layer plus a JSON sidecar
 
 
-def _state_tensors(state) -> list[tuple[str, Optional[np.ndarray]]]:
-    out = []
-    for f in fields(state):
-        val = getattr(state, f.name)
-        if f.name == "t":
-            continue
-        out.append((f.name, val))
-    return out
-
-
 def save_checkpoint(dirpath, layers, hp: HyperParams) -> None:
     os.makedirs(dirpath, exist_ok=True)
     for i, layer in enumerate(layers):
         stem = f"layer{i:03d}_{layer.name}"
-        tensors = _state_tensors(layer.state)
+        tensors = [(f.name, getattr(layer.state, f.name))
+                   for f in fields(layer.state) if f.name != "t"]
         with atomic_open(os.path.join(dirpath, stem + ".mwn1")) as fh:
             for _, val in tensors:
-                if val is not None:
-                    write_record(fh, val)
+                write_record(fh, val)
         sidecar = {
             "kind": layer.kind,
             "name": layer.name,
             "t": layer.state.t,
             "hyperparams": hp.to_dict(),
-            "tensors": [
-                {"name": nm, "ndim": (None if v is None else int(v.ndim))}
-                for nm, v in tensors
-            ],
+            "tensors": [{"name": nm, "ndim": int(v.ndim)} for nm, v in tensors],
         }
         with atomic_open(os.path.join(dirpath, stem + ".json"), "w") as fh:
             json.dump(sidecar, fh, indent=2, sort_keys=True)
@@ -513,9 +499,6 @@ def load_checkpoint(dirpath) -> tuple[list[Layer], dict]:
         values = {}
         with open(os.path.join(dirpath, stem + ".mwn1"), "rb") as fh:
             for spec in meta["tensors"]:
-                if spec["ndim"] is None:
-                    values[spec["name"]] = None
-                    continue
                 rec = read_record(fh)
                 values[spec["name"]] = rec.ravel() if spec["ndim"] == 1 else rec
         state = _KINDS[meta["kind"]][0](t=meta["t"], **values)

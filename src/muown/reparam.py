@@ -45,6 +45,10 @@ class ReparamView:
     R: np.ndarray
     D: np.ndarray
 
+    def split(self, grad_w) -> tuple[np.ndarray, np.ndarray]:
+        """A raw gradient as ``(grad_g, grad_R)`` under this decomposition."""
+        return grad_g(grad_w, self.D), grad_R(grad_w, self.g, self.r, self.D)
+
 
 def init_view(w) -> ReparamView:
     """Decompose an effective weight, starting from exactly that weight.

@@ -78,6 +78,14 @@ def test_01_spectral_decomposition_identity():
             assert abs(rep.coherence - 1.0) <= 1e-9, i
             assert np.sqrt(rep.rowscale_sq * rep.coherence) == pytest.approx(
                 g.max(), rel=1e-9)
+        # one row, one column, and tied singular values
+        edges = {"1x7": rng.standard_normal((1, 7)), "6x1": rng.standard_normal((6, 1)),
+                 "2I": 2.0 * np.eye(4), "diag(2,2,1,1)": np.diag([2.0, 2.0, 1.0, 1.0]),
+                 "scaled orthonormal rows": 1.7 * orthonormal_rows(rng, 3, 5)}
+        for name, w in edges.items():
+            rep = spectral_decomposition(w)
+            assert rep.residual <= 1e-8, (name, rep.residual)
+            assert rep.coherence >= 1.0 - 1e-9, (name, rep.coherence)
         elapsed = time.monotonic() - t0
         assert elapsed < 10.0, f"took {elapsed:.1f}s"
 
@@ -123,7 +131,7 @@ def test_02_reparameterized_gradients_vs_finite_differences():
 
         target = rng.standard_normal((4, 5))
         spec_q = quadratic_spec(target)
-        params_q = ParamSet([Param("W", rng.standard_normal((4, 5)), "matrix")])
+        params_q = ParamSet([Param("W", rng.standard_normal((4, 5)))])
         n = _probe_model(rng, spec_q, params_q, None, "W", probes=60)
         assert n >= 50
 
@@ -256,10 +264,7 @@ def test_08_sharded_execution_bitwise_equivalent():
         hp = HyperParams(eta=0.02, backend="polar")
 
         def grads_for(spec, layers, batch):
-            pset = ParamSet(
-                Param(l.name, l.state.param,
-                      "matrix" if l.state.param.ndim == 2 else "elementwise")
-                for l in layers)
+            pset = ParamSet(Param(l.name, l.state.param) for l in layers)
             return loss_and_grad(spec, pset, batch)[1]
 
         for kind in ("muown", "muown_fixed", "muown_signum", "muon", "adamw",

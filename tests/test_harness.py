@@ -201,6 +201,29 @@ class TestPresets:
         verdict = preset_lr_sweep(cfg, None)
         assert verdict["assertions"][0]["detail"] == "6 cells of 6"
 
+    @pytest.mark.parametrize("preset, sets, steps", [
+        pytest.param("single", {}, 3, id="single"),
+        pytest.param("drift", {}, 3 * 3, id="drift"),  # muon, muown_fixed, muown
+        pytest.param("rate-check", {"rate_check": {"horizons": [2, 3]}}, 2 + 3,
+                     id="rate-check"),
+        pytest.param("noise-compare", {"noise": {"checkpoints": 1}}, 3, id="noise-compare"),
+        pytest.param("lr-sweep", {"lr_sweep": {"log2_min": -6, "log2_max": -6}}, 3 * 3,
+                     id="lr-sweep"),
+    ])
+    def test_every_preset_steps_through_step_all(self, monkeypatch, preset, sets, steps):
+        # a wrapper on harness.step_all, like the bench's step clock, sees every step
+        calls = []
+        inner = harness.step_all
+
+        def counted(layers, grads, hp):
+            calls.append(layers[0].state.t)
+            return inner(layers, grads, hp)
+
+        monkeypatch.setattr(harness, "step_all", counted)
+        cfg = config_from_dict({"steps": 3, **sets}, preset=preset)
+        run_preset(cfg, None)
+        assert len(calls) == steps
+
 
 class TestVectorRouting:
     @pytest.mark.parametrize("preset, sets", [

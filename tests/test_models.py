@@ -53,7 +53,7 @@ class TestQuadratic:
         target = rng.standard_normal((3, 4))
         spec = quadratic_spec(target)
         w = rng.standard_normal((3, 4))
-        params = ParamSet([Param("W", w, "matrix")])
+        params = ParamSet([Param("W", w)])
         loss, grads = loss_and_grad(spec, params, None)
         assert loss == pytest.approx(0.5 * np.sum((w - target) ** 2), rel=1e-14)
         assert np.array_equal(grads[0], w - target)
@@ -63,7 +63,7 @@ class TestQuadratic:
         # zero third derivative: central differences are exact up to roundoff
         target = rng.standard_normal((2, 3))
         spec = quadratic_spec(target)
-        params = ParamSet([Param("W", rng.standard_normal((2, 3)), "matrix")])
+        params = ParamSet([Param("W", rng.standard_normal((2, 3)))])
         _, grads = loss_and_grad(spec, params, None)
         fd = finite_difference_grad(spec, params, None, h=1e-4)
         assert np.allclose(fd[0], grads[0], rtol=0, atol=1e-10)
@@ -187,7 +187,7 @@ class TestSynthData:
         with pytest.raises(ValueError):
             synth_data("mlp2", MLP_DIMS, seed=1, num_batches=0, batch_size=4)
         with pytest.raises(ValueError):
-            Batch(np.empty((0, 2)), np.empty((0,)), "x")
+            Batch(np.empty((0, 2)), np.empty((0,)))
 
     def test_epoch_order_fixed_by_seed(self):
         assert epoch_order(8, seed=1, epoch=0) == epoch_order(8, seed=1, epoch=0)
@@ -208,10 +208,10 @@ class TestSynthData:
 class TestParamSet:
     def test_duplicate_names_rejected(self, rng):
         with pytest.raises(ValueError):
-            ParamSet([Param("a", rng.standard_normal(2), "elementwise"),
-                      Param("a", rng.standard_normal(2), "elementwise")])
+            ParamSet([Param("a", rng.standard_normal(2)),
+                      Param("a", rng.standard_normal(2))])
 
     def test_with_value_shape_checked(self, rng):
-        ps = ParamSet([Param("a", rng.standard_normal((2, 2)), "matrix")])
+        ps = ParamSet([Param("a", rng.standard_normal((2, 2)))])
         with pytest.raises(ValueError):
             ps.with_value("a", np.zeros((3, 3)))

@@ -268,19 +268,18 @@ class TestMuownSignum:
         w0 = rng.standard_normal((3, 4))
         grad = rng.standard_normal((3, 4))
         st0 = init_muown_signum(w0)
-        assert st0.M is None and st0.m is None
+        assert not st0.M.any() and not st0.m.any()
         st = muown_signum_step(st0, grad, hp)
-        # M_1 = beta1 * M_0 + grad_R with M_0 = grad_R, i.e. (1 + beta1) * grad_R
-        from muown.reparam import grad_R, grad_g, init_view
-        view = init_view(w0)
-        g_r = grad_R(grad, view.g, view.r, view.D)
-        gg = grad_g(grad, view.D)
+        # M_1 = beta1 * M_0 + grad_R with M_0 = grad_R, not the stored zeros,
+        # i.e. (1 + beta1) * grad_R
+        from muown.reparam import init_view
+        gg, g_r = init_view(w0).split(grad)
         assert np.allclose(st.M, 1.5 * g_r, rtol=1e-14)
         assert np.allclose(st.m, 1.5 * gg, rtol=1e-14)
 
     @pytest.mark.parametrize("beta1,lam", [(0.0, 0.0), (0.9, 0.0), (0.9, 0.07)])
     def test_bitwise_match_with_straight_line_transcription(self, rng, beta1, lam):
-        # three steps: the first starts from the None momenta
+        # three steps: the first starts its momenta from its gradient
         w0 = rng.standard_normal((3, 2))
         grads = [rng.standard_normal((3, 2)) for _ in range(3)]
         hp = HyperParams(eta=0.05, gamma=0.02, beta1=beta1, weight_decay=lam,
@@ -478,18 +477,19 @@ class TestCheckpoint:
                 else:
                     assert bitwise_equal(va, vb), fname
 
-    def test_signum_none_momenta_round_trip(self, tmp_path, rng):
+    def test_signum_fresh_state_round_trip(self, tmp_path, rng):
         layers = init_layers([("W", rng.standard_normal((3, 3)))],
                              matrix_kind="muown_signum")
         hp = HyperParams(eta=0.01)
         save_checkpoint(tmp_path, layers, hp)
         back, _ = load_checkpoint(tmp_path)
-        assert back[0].state.M is None and back[0].state.m is None
-        # and the restored state steps identically to the original
+        assert back[0].state.t == 0
+        # the restored t = 0 state steps bitwise like the fresh one
         grad = rng.standard_normal((3, 3))
         a = step_layer(layers[0], grad, hp)
         b = step_layer(back[0], grad, hp)
-        assert bitwise_equal(a.state.param, b.state.param)
+        for fname in ("param", "g", "r", "M", "m"):
+            assert bitwise_equal(getattr(a.state, fname), getattr(b.state, fname)), fname
 
     def test_failed_write_leaves_no_partial_file(self, tmp_path, rng, monkeypatch):
         named = [("W", rng.standard_normal((4, 3))), ("b", rng.standard_normal(4))]

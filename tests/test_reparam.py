@@ -5,7 +5,7 @@ from muown.errors import ZeroRowError
 from muown.linalg import row_norms
 from muown.reparam import grad_R, grad_g, init_view, recompose, view_from_state
 
-from conftest import bitwise_equal
+from conftest import bitwise_equal, orthonormal_rows
 
 
 class TestInitView:
@@ -96,18 +96,15 @@ def _test_loss(a, w):
 
 class TestChainRule:
     def test_directional_derivatives_match_fd(self, rng):
-        """Composite check over >= 50 random (loss, point, direction) triples."""
+        """Composite check over 50 random (loss, point, direction) triples, then
+        over 1 x n, m x 1 and tied-singular-value points."""
         h = 1e-5
-        checked = 0
-        for trial in range(50):
-            m = int(rng.integers(1, 5))
-            n = int(rng.integers(2, 6))
-            w = rng.standard_normal((m, n)) + 0.1 * np.sign(rng.standard_normal((m, n)))
+
+        def check(w, trial):
+            m, n = w.shape
             view = init_view(w)
             a = rng.standard_normal((m, n))
-            grad_w = a + recompose(view.g, view.R)
-            gg = grad_g(grad_w, view.D)
-            gr = grad_R(grad_w, view.g, view.r, view.D)
+            gg, gr = view.split(a + recompose(view.g, view.R))
             dg = rng.standard_normal(m)
             dr = rng.standard_normal((m, n))
             analytic = float(gg @ dg + np.sum(gr * dr))
@@ -115,8 +112,17 @@ class TestChainRule:
             lm = _test_loss(a, recompose(view.g - h * dg, view.R - h * dr))
             fd = (lp - lm) / (2.0 * h)
             assert fd == pytest.approx(analytic, rel=1e-5), trial
-            checked += 1
-        assert checked >= 50
+
+        for trial in range(50):
+            m = int(rng.integers(1, 5))
+            n = int(rng.integers(2, 6))
+            check(rng.standard_normal((m, n)) + 0.1 * np.sign(rng.standard_normal((m, n))),
+                  trial)
+        edges = {"1x5": rng.standard_normal((1, 5)), "4x1": rng.standard_normal((4, 1)),
+                 "2I": 2.0 * np.eye(3), "diag(2,2,1,1)": np.diag([2.0, 2.0, 1.0, 1.0]),
+                 "scaled orthonormal rows": 1.7 * orthonormal_rows(rng, 3, 5)}
+        for name, w in edges.items():
+            check(w, name)
 
     def test_grad_R_matches_per_coordinate_fd(self, rng):
         """Central difference on every entry of R for a 3x2 layer."""

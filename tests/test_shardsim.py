@@ -46,10 +46,7 @@ def _mlp_problem(matrix_kind, seed=4):
 
 def _grads_for(spec, layers, batch):
     from muown.models import Param, ParamSet
-    pset = ParamSet(
-        Param(l.name, l.state.param,
-              "matrix" if l.state.param.ndim == 2 else "elementwise")
-        for l in layers)
+    pset = ParamSet(Param(l.name, l.state.param) for l in layers)
     _, grads = loss_and_grad(spec, pset, batch)
     return grads
 
