@@ -13,13 +13,15 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from . import models
+from . import models, optimizers
 from .diagnostics import dual_norm, noise_coefficients, spectral_decomposition
 from .errors import ConfigError, NonFiniteError, StepAllError, ZeroRowError
 from .linalg import row_norms, singular_values, vec_l1, nuclear_norm
@@ -539,26 +541,35 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
         hp = HyperParams(eta=step_size, gamma=step_size, beta1=0.0,
                          backend="polar", rms_scale_on=False)
         run_cfg = replace(cfg, steps=horizon, schedule=ScheduleSpec())
+        # Per step: the loss before it, its dual gradient norm and its descent
+        # bound. The loss _train takes before step t + 1 is the loss after step
+        # t, so only the loss after the last step taken is evaluated here.
+        losses, duals, bounds = [], [], []
         dual_sum = 0.0
-        worst_slack = -math.inf
-        step, layers = 0, start
+        step, layers, failure = 0, start, None
         try:
             # the quadratic ignores its batch, so one placeholder serves every step
             for t, _, loss, grads, before, layers in _train(run_cfg, spec, start, [None], hp):
+                losses.append(loss)
                 step = t + 1
                 gg, gr = _view_of(before[0].state).split(grads[0])
                 dual = dual_norm(gg, gr)
+                bounds.append(-step_size * vec_l1(gg) - step_size * nuclear_norm(gr)
+                              + 0.5 * big_l * (step_size ** 2 + step_size ** 2))
+                duals.append(dual)
                 dual_sum += dual
-                loss_after, _ = loss_and_grad(spec, _params_as_set(layers), None)
-                descent_rhs = (-step_size * vec_l1(gg) - step_size * nuclear_norm(gr)
-                               + 0.5 * big_l * (step_size ** 2 + step_size ** 2))
-                slack = (loss_after - loss) - descent_rhs
-                worst_slack = max(worst_slack, slack)
-                all_rows.append([horizon, step, float(loss), float(dual), float(slack)])
         except _RUN_ERRORS as exc:
+            failure = _failure(exc, step, layers, "W")
+        if len(losses) == len(bounds):  # else the loss of the failed step ends the last row
+            losses.append(loss_and_grad(spec, _params_as_set(layers), None)[0])
+        slacks = [(after - loss) - rhs for loss, after, rhs in zip(losses, losses[1:], bounds)]
+        all_rows += [[horizon, t + 1, float(loss), float(dual), float(slack)]
+                     for t, (loss, dual, slack) in enumerate(zip(losses, duals, slacks))]
+        if failure:
             assertions.append({"name": f"run_completed_T{horizon}", "pass": False,
-                               "detail": _stopped(_failure(exc, step, layers, "W"))})
+                               "detail": _stopped(failure)})
             continue
+        worst_slack = max(slacks)
         avg_dual = dual_sum / horizon
         bound = 4.0 * math.sqrt(big_l * delta1 / horizon)
         assertions.append({
@@ -627,43 +638,135 @@ def preset_lr_sweep(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dic
     """Final loss across a log2-spaced learning-rate grid, one row per cell.
 
     Divergent cells (loss above 1e12 or a non-finite/degenerate step) record
-    an inf sentinel and stop early without aborting the sweep.
+    an inf sentinel and stop early without aborting the sweep. The cells run
+    in ``_map_cells`` worker processes.
     """
     etas = [2.0 ** k for k in range(cfg.sweep_log2_min, cfg.sweep_log2_max + 1)]
-    rows = []
+    cells = [(opt_kind, eta) for opt_kind in cfg.sweep_optimizers for eta in etas]
     # Every cell starts from the same model and data; steps and init_layers
     # copy what they keep, so the arrays are shared read-only across cells.
     spec, params, batches = _make_model(cfg)
     first_batch = _first_batch(batches, cfg.seed)
-    for opt_kind in cfg.sweep_optimizers:
-        for eta in etas:
-            layers = init_layers(params.named_values(), matrix_kind=opt_kind)
-            final_loss = math.inf
-            steps_done = 0
-            try:
-                # A step is counted when the loss it started from is below
-                # the sentinel; the step taken from a diverged loss is not.
-                for t, _, loss, _, _, stepped in _train(cfg, spec, layers, batches,
-                                                        replace(cfg.hp, eta=eta)):
-                    if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
-                        break
-                    layers, steps_done = stepped, t + 1
-                else:
-                    final_loss, _ = loss_and_grad(spec, _params_as_set(layers), first_batch)
-            except _RUN_ERRORS:
-                pass  # final_loss stays inf: the cell diverged
-            diverged = not (math.isfinite(final_loss) and final_loss <= DIVERGENCE_LOSS)
-            rows.append([opt_kind, float(eta), math.inf if diverged else float(final_loss),
-                         steps_done, int(diverged)])
-    expected = len(etas) * len(cfg.sweep_optimizers)
+    rows = _map_cells(lambda cell: _sweep_cell(cfg, spec, params, batches, first_batch,
+                                               *cell), cells)
     _write_run(out_dir, ["optimizer", "eta", "final_loss", "steps_done", "diverged"],
                rows, {"preset": "lr-sweep", "cells": len(rows)})
     assertions = [{
         "name": "sweep_complete",
-        "pass": len(rows) == expected,
-        "detail": f"{len(rows)} cells of {expected}",
+        "pass": len(rows) == len(cells),
+        "detail": f"{len(rows)} cells of {len(cells)}",
     }]
     return _write_verdict(out_dir, "lr-sweep", assertions)
+
+
+def _sweep_cell(cfg: ExperimentConfig, spec: ModelSpec, params: ParamSet,
+                batches: list[Batch], first_batch: Batch, opt_kind: str,
+                eta: float) -> list:
+    """The lr-sweep row of one cell: ``cfg``'s run with optimizer ``opt_kind`` at
+    rate ``eta``, from the sweep's shared model and data."""
+    layers = init_layers(params.named_values(), matrix_kind=opt_kind)
+    final_loss = math.inf
+    steps_done = 0
+    try:
+        # A step is counted when the loss it started from is below
+        # the sentinel; the step taken from a diverged loss is not.
+        for t, _, loss, _, _, stepped in _train(cfg, spec, layers, batches,
+                                                replace(cfg.hp, eta=eta)):
+            if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
+                break
+            layers, steps_done = stepped, t + 1
+        else:
+            final_loss, _ = loss_and_grad(spec, _params_as_set(layers), first_batch)
+    except _RUN_ERRORS:
+        pass  # final_loss stays inf: the cell diverged
+    diverged = not (math.isfinite(final_loss) and final_loss <= DIVERGENCE_LOSS)
+    return [opt_kind, float(eta), math.inf if diverged else float(final_loss),
+            steps_done, int(diverged)]
+
+
+def _map_cells(cell: Callable, cells: list) -> list:
+    """``[cell(c) for c in cells]``, the cells shared among ``_workers()`` processes.
+
+    Worker w runs ``cells[w::workers]``. The calling process is worker 0; each
+    other worker is a child forked once the caller has built what the cells
+    share, so it inherits that and sends back only its results, pickled
+    through a pipe. Hooks in the calling process (on ``step_all``, say) see
+    only worker 0's cells. An exception from a child's cells is raised here.
+    A worker that cannot be forked, or that dies without sending its results,
+    has its cells run here, so the results never depend on the worker count.
+    Every child is reaped before this returns or raises; on a raise, any
+    child still running is killed first. Forked, not spawned, so that no
+    child rebuilds the model; the only threads a caller may hold are
+    ``step_all``'s idle pool, which a child replaces (``optimizers._pool``),
+    and OpenBLAS's, which it restarts after a fork.
+    """
+    workers = min(optimizers._workers(), len(cells)) if hasattr(os, "fork") else 1
+    out = [None] * len(cells)
+    children = {}  # worker -> (pid, read end of its pipe), until reaped
+    try:
+        for w in range(1, workers):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                break
+            if pid == 0:
+                os.close(read)
+                _run_child(cell, cells[w::workers], write)
+            os.close(write)
+            children[w] = (pid, read)
+        for w in range(workers):
+            ok, rows = True, None
+            if w in children:
+                pid, read = children[w]
+                with open(read, "rb", closefd=False) as fh:
+                    try:
+                        ok, rows = pickle.load(fh)
+                    except (EOFError, pickle.UnpicklingError):
+                        pass  # the child died before sending its results
+                del children[w]
+                os.close(read)
+                os.waitpid(pid, 0)
+            if not ok:
+                raise rows
+            if rows is None:
+                rows = [cell(c) for c in cells[w::workers]]
+            out[w::workers] = rows
+    finally:
+        for pid, read in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read)
+    return out
+
+
+def _run_child(cell: Callable, cells: list, write: int) -> None:
+    """In a forked child: send ``(True, results)`` of ``cells``, or ``(False,
+    exception)``, through pipe end ``write``, then leave by ``os._exit``, which
+    flushes none of the parent's buffers and runs no atexit hook. A child whose
+    parent has died (killed by a signal, say) leaves before its next cell."""
+    code, parent = 1, os.getppid()
+    try:
+        try:
+            rows = []
+            for c in cells:
+                if os.getppid() != parent:
+                    os._exit(1)  # no one is left to read the results
+                rows.append(cell(c))
+            result = True, rows
+        except BaseException as exc:  # noqa: BLE001 - raised again in the parent
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:  # noqa: BLE001 - an exception that does not round-trip
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            result = False, exc
+        with os.fdopen(write, "wb") as fh:
+            pickle.dump(result, fh)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_preset(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:

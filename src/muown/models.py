@@ -296,6 +296,8 @@ def make_model(kind: str, dims: dict, seed: int, num_batches: int = 8,
 
 def epoch_order(num_batches: int, seed: int, epoch: int) -> list[int]:
     """Without-replacement batch order for one epoch, fixed by (seed, epoch)."""
+    if num_batches <= 1:
+        return list(range(num_batches))  # the one order; no stream to draw
     return SplitMix64(derive_seed(seed, 0x0D0E, epoch)).permutation(num_batches)
 
 

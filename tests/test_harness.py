@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muown import harness
+from muown import harness, optimizers, rng
 from muown.cli import main as cli_main
 from muown.errors import ConfigError
 from muown.harness import (
@@ -144,6 +145,25 @@ class TestPresets:
         assert b400 == pytest.approx(b100 / 2.0, rel=1e-15)
         assert run_preset(cfg, None)["pass"]
 
+    def test_rate_check_takes_each_loss_once(self, monkeypatch):
+        counts = {"loss_and_grad": 0, "permutation": 0}
+
+        def counted(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(harness, "loss_and_grad")
+        counted(rng.SplitMix64, "permutation")
+        cfg = ExperimentConfig(preset="rate-check", rate_horizons=(2, 3))
+        assert run_preset(cfg, None)["pass"]
+        # Delta1, then one loss per step plus the loss after each horizon's last step
+        assert counts == {"loss_and_grad": 1 + (2 + 3) + 2, "permutation": 0}
+
     def test_noise_compare_zero_variance_dataset(self, tmp_path):
         # single repeated batch -> every sigma is exactly zero
         from muown import models as mmodels
@@ -212,6 +232,8 @@ class TestPresets:
     ])
     def test_every_preset_steps_through_step_all(self, monkeypatch, preset, sets, steps):
         # a wrapper on harness.step_all, like the bench's step clock, sees every step
+        # of a run in one process (lr-sweep forks no worker at _workers() == 1)
+        monkeypatch.setattr(optimizers, "_workers", lambda: 1)
         calls = []
         inner = harness.step_all
 
@@ -223,6 +245,158 @@ class TestPresets:
         cfg = config_from_dict({"steps": 3, **sets}, preset=preset)
         run_preset(cfg, None)
         assert len(calls) == steps
+
+
+def _sweep_rows(cfg, out_dir):
+    preset_lr_sweep(cfg, str(out_dir))
+    return (out_dir / "log.csv").read_bytes()
+
+
+class NeedsTwoArgs(Exception):
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
+
+
+class TestSweepWorkers:
+    """lr-sweep cells run in ``_workers()`` processes: the calling process takes
+    ``cells[0::w]`` and forked children the rest, with the same log bytes."""
+
+    @pytest.fixture(autouse=True)
+    def time_bound(self):
+        # a forked child does not inherit the alarm; a caller stuck waiting on one
+        # raises, and _map_cells kills and reaps its children on the way out
+        def expired(*_):
+            raise TimeoutError("lr-sweep workers still running after 120 s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(120)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("sets, counts", [
+        pytest.param({}, (1, 2), id="default"),
+        # a slice of the all-diverging grid 0..1023 x 5 optimizers, also with
+        # more workers than CPUs
+        pytest.param({"steps": 30, "lr_sweep": {
+            "log2_min": 0, "log2_max": 63,
+            "optimizers": ["muown", "muon", "adamw", "signum", "muown_signum"]}},
+            (1, 2, 5), id="divergent"),
+    ])
+    def test_log_bytes_do_not_depend_on_workers(self, monkeypatch, tmp_path, sets, counts):
+        cfg = config_from_dict(sets, preset="lr-sweep")
+        logs = []
+        for count in counts:
+            monkeypatch.setattr(optimizers, "_workers", lambda: count)
+            logs.append(_sweep_rows(cfg, tmp_path / f"w{count}"))
+        assert all(log == logs[0] for log in logs[1:])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_calling_process_steps_its_own_cells(self, monkeypatch):
+        # cells (muown, muon, adamw) x one rate: worker 0 takes cells 0 and 2
+        monkeypatch.setattr(optimizers, "_workers", lambda: 2)
+        kinds = []
+        inner = harness.step_all
+
+        def counted(layers, grads, hp):
+            kinds.append(layers[0].kind)
+            return inner(layers, grads, hp)
+
+        monkeypatch.setattr(harness, "step_all", counted)
+        cfg = config_from_dict({"steps": 3, "lr_sweep": {"log2_min": -6, "log2_max": -6}},
+                               preset="lr-sweep")
+        assert preset_lr_sweep(cfg, None)["pass"]
+        assert kinds == ["muown"] * 3 + ["adamw"] * 3
+
+    @pytest.mark.parametrize("fault", ["fork fails", "worker dies"])
+    def test_lost_worker_cells_run_in_the_caller(self, monkeypatch, tmp_path, fault):
+        cfg = config_from_dict({"steps": 20, "lr_sweep": {"log2_min": -8, "log2_max": -3}},
+                               preset="lr-sweep")
+        monkeypatch.setattr(optimizers, "_workers", lambda: 1)
+        serial = _sweep_rows(cfg, tmp_path / "serial")
+        monkeypatch.setattr(optimizers, "_workers", lambda: 2)
+        if fault == "fork fails":
+            def no_fork():
+                raise OSError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        else:
+            caller = os.getpid()
+            inner = harness.init_layers
+
+            def dies_in_a_worker(*args, **kw):
+                if os.getpid() != caller:
+                    os._exit(3)  # as if killed: no result reaches the pipe
+                return inner(*args, **kw)
+
+            monkeypatch.setattr(harness, "init_layers", dies_in_a_worker)
+        assert _sweep_rows(cfg, tmp_path / "lost") == serial
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("error, raised, message", [
+        pytest.param(LookupError("no such cell"), LookupError, "no such cell",
+                     id="picklable"),
+        # an exception that cannot be rebuilt from its args comes back as a RuntimeError
+        pytest.param(NeedsTwoArgs("bad cell", "a worker"), RuntimeError,
+                     "NeedsTwoArgs: bad cell in a worker", id="unpicklable"),
+    ])
+    def test_worker_exception_is_raised_in_the_caller(self, monkeypatch, error, raised,
+                                                       message):
+        monkeypatch.setattr(optimizers, "_workers", lambda: 2)
+        caller = os.getpid()
+        inner = harness.init_layers
+
+        def fails_in_a_worker(*args, **kw):
+            if os.getpid() != caller:
+                raise error
+            return inner(*args, **kw)
+
+        monkeypatch.setattr(harness, "init_layers", fails_in_a_worker)
+        cfg = config_from_dict({"steps": 3, "lr_sweep": {
+            "log2_min": -6, "log2_max": -6, "optimizers": ["muown", "muon"]}},
+            preset="lr-sweep")
+        with pytest.raises(raised) as info:
+            preset_lr_sweep(cfg, None)
+        assert type(info.value) is raised and str(info.value) == message
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_caller_exception_kills_and_reaps_the_workers(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "_workers", lambda: 2)
+        caller = os.getpid()
+        inner = harness.init_layers
+
+        def fails_in_the_caller(*args, **kw):
+            if os.getpid() == caller:
+                raise LookupError("caller cell failed")
+            return inner(*args, **kw)
+
+        monkeypatch.setattr(harness, "init_layers", fails_in_the_caller)
+        cfg = config_from_dict({"lr_sweep": {"log2_min": -6, "log2_max": -5}},
+                               preset="lr-sweep")
+        with pytest.raises(LookupError, match="caller cell failed"):
+            preset_lr_sweep(cfg, None)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_cli_prints_its_output_once(self, tmp_path):
+        # a worker leaves by os._exit, so it never flushes the caller's buffered stdout
+        code = ("import sys; from muown import cli, optimizers; "
+                "optimizers._workers = lambda: 2; print('started'); "
+                "sys.exit(cli.main(sys.argv[1:]))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "run", "lr-sweep", "--set", "steps=5",
+             "--set", "lr_sweep.log2_min=-6", "--set", "lr_sweep.log2_max=-5",
+             "--out", str(tmp_path)], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.count("started") == 1, proc.stdout
+        assert proc.stdout.count("verdict: PASS") == 1, proc.stdout
 
 
 class TestVectorRouting:
