@@ -13,6 +13,9 @@ class ZeroRowError(ValueError):
         self.norm = norm
         super().__init__(f"row {row} has norm {norm!r}, below the nonzero-row floor")
 
+    def __reduce__(self):  # rebuilt from its fields, so that it crosses a pickle
+        return type(self), (self.row, self.norm)
+
 
 class NonFiniteError(ValueError):
     """NaN or Inf appeared where the contract requires finite values."""
@@ -25,6 +28,9 @@ class StepAllError(RuntimeError):
         self.failures = list(failures)
         detail = "; ".join(f"layer {i}: {e}" for i, e in self.failures)
         super().__init__(f"{len(self.failures)} layer step(s) failed: {detail}")
+
+    def __reduce__(self):
+        return type(self), (self.failures,)
 
 
 class ConfigError(ValueError):

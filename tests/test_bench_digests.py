@@ -9,6 +9,7 @@ work on.
 
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -32,3 +33,14 @@ def test_unit_digest_matches_expected(workloads, tmp_path, name):
     unit = workloads.WORKLOADS[name](1, str(tmp_path)).unit()
     assert unit.problems == []
     assert unit.digest == expected[name]["1"]
+
+
+def test_train_mid_digest_through_the_metrics_worker(workloads, tmp_path, monkeypatch):
+    # at two workers a forked process computes the per-step metrics
+    monkeypatch.setattr(workloads.optimizers, "_workers", lambda: 2)
+    expected = json.loads((BENCH / "expected.json").read_text())["workload_log_sha256"]
+    unit = workloads.WORKLOADS["train-mid"](1, str(tmp_path)).unit()
+    assert unit.problems == []
+    assert unit.digest == expected["train-mid"]["1"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

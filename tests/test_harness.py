@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from muown import harness, optimizers, rng
 from muown.cli import main as cli_main
-from muown.errors import ConfigError
+from muown.errors import ConfigError, StepAllError, ZeroRowError
 from muown.harness import (
     CSV_SCHEMA_LINE,
     ExperimentConfig,
@@ -257,24 +259,39 @@ class NeedsTwoArgs(Exception):
         super().__init__(f"{what} in {where}")
 
 
+@pytest.fixture
+def time_bound():
+    # a forked child does not inherit the alarm; a caller stuck waiting on one
+    # raises, and every child is killed and reaped on the way out
+    def expired(*_):
+        raise TimeoutError("worker processes still running after 120 s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(120)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("error", [ZeroRowError(3, 1e-300),
+                                   StepAllError([(1, ZeroRowError(0, 0.0))])],
+                         ids=["ZeroRowError", "StepAllError"])
+def test_run_errors_survive_a_pickle_round_trip(error):
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error) and str(back) == str(error)
+    if isinstance(error, ZeroRowError):
+        assert (back.row, back.norm) == (error.row, error.norm)
+    else:
+        [(i, inner)] = back.failures
+        assert i == 1 and type(inner) is ZeroRowError and str(inner) == str(error.failures[0][1])
+
+
+@pytest.mark.usefixtures("time_bound")
 class TestSweepWorkers:
     """lr-sweep cells run in ``_workers()`` processes: the calling process takes
     ``cells[0::w]`` and forked children the rest, with the same log bytes."""
-
-    @pytest.fixture(autouse=True)
-    def time_bound(self):
-        # a forked child does not inherit the alarm; a caller stuck waiting on one
-        # raises, and _map_cells kills and reaps its children on the way out
-        def expired(*_):
-            raise TimeoutError("lr-sweep workers still running after 120 s")
-
-        previous = signal.signal(signal.SIGALRM, expired)
-        signal.alarm(120)
-        try:
-            yield
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("sets, counts", [
         pytest.param({}, (1, 2), id="default"),
@@ -397,6 +414,159 @@ class TestSweepWorkers:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.count("started") == 1, proc.stdout
         assert proc.stdout.count("verdict: PASS") == 1, proc.stdout
+
+
+    def test_child_run_error_keeps_its_type(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "_workers", lambda: 2)
+        caller = os.getpid()
+
+        def cell(c):
+            if os.getpid() != caller:
+                raise ZeroRowError(c, 0.0)
+            return c
+
+        with pytest.raises(ZeroRowError) as info:
+            harness._map_cells(cell, [0, 1, 2, 3])
+        assert (info.value.row, info.value.norm) == (1, 0.0)
+        assert str(info.value) == str(ZeroRowError(1, 0.0))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_warnings_print_once(self, tmp_path):
+        # every cell diverges; each process keeps its own once-per-location
+        # registry, so the child's warnings are issued again in the caller's
+        sets = ["steps=30", "lr_sweep.log2_min=1020", "lr_sweep.log2_max=1023",
+                'lr_sweep.optimizers=["muown","muon","adamw","signum","muown_signum"]']
+        lines = []
+        for workers in (1, 2):
+            proc = _cli_at(workers, tmp_path / f"w{workers}", "lr-sweep", sets)
+            assert proc.returncode == 0, proc.stderr
+            lines.append(sorted(proc.stderr.splitlines()))
+        assert "RuntimeWarning: overflow" in "".join(lines[0])
+        assert lines[1] == lines[0]
+
+
+def _observed_run(monkeypatch, tmp_path, workers, preset, sets):
+    """A preset run at ``workers``: its verdict, every file it wrote, and its
+    probe and checkpoint calls in order (``run_experiment``'s probes)."""
+    events = []
+    inner_run, inner_save = harness.run_experiment, harness.save_checkpoint
+
+    def run(cfg, out_dir=None, probe=None):
+        def observed(t, before, after, loss, grads):
+            params = b"".join(l.state.param.tobytes() for l in after)
+            events.append(("probe", t, float(loss), hashlib.sha256(params).hexdigest()))
+            if probe is not None:
+                probe(t, before, after, loss, grads)
+
+        return inner_run(cfg, out_dir, probe=observed)
+
+    def save(path, layers, hp):
+        events.append(("checkpoint", os.path.relpath(path, out)))
+        inner_save(path, layers, hp)
+
+    out = tmp_path / f"w{workers}"
+    with monkeypatch.context() as m:
+        m.setattr(optimizers, "_workers", lambda: workers)
+        m.setattr(harness, "run_experiment", run)
+        m.setattr(harness, "save_checkpoint", save)
+        verdict = run_preset(config_from_dict(apply_overrides({}, sets), preset=preset),
+                             str(out))
+    files = {str(p.relative_to(out)): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    return verdict, files, events
+
+
+@pytest.mark.usefixtures("time_bound")
+class TestMetricsWorker:
+    """With two workers a forked process computes each logged step's metrics
+    while the caller trains the next step; what the run writes, and the order
+    of its probe and checkpoint calls, are those of the inline run."""
+
+    @pytest.fixture(autouse=True)
+    def reaped(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("preset, sets", [
+        pytest.param("single", ["steps=30", "checkpoint_every=10"], id="single"),
+        pytest.param("single", ["steps=30", "log_every=4", "checkpoint_every=6",
+                                "optimizer.kind=muon"], id="single-muon-every-4"),
+        pytest.param("drift", ["steps=40", "log_every=3"], id="drift"),
+        # the two runs of TestCli::test_failed_run_exits_1_with_a_verdict
+        pytest.param("single", ["optimizer.kind=adamw", "optimizer.eta=1e300", "steps=5"],
+                     id="metrics-fail"),
+        pytest.param("single", ["optimizer.eta=1e300", "steps=5", "log_every=100"],
+                     id="step-fails"),
+        # row 1 is in flight when step 2 fails: row 1 and checkpoint 1 still land
+        pytest.param("single", ["optimizer.eta=1e154", "steps=10", "checkpoint_every=1"],
+                     id="step-fails-behind-a-row"),
+    ])
+    def test_same_run_at_one_and_two_workers(self, monkeypatch, tmp_path, preset, sets):
+        one = _observed_run(monkeypatch, tmp_path, 1, preset, sets)
+        assert _observed_run(monkeypatch, tmp_path, 2, preset, sets) == one
+
+    def test_failed_row_at_a_checkpoint_step_writes_no_checkpoint(self, monkeypatch,
+                                                                  tmp_path):
+        # row 2 raises ZeroRowError in W2; step 3, trained meanwhile, fails too
+        sets = ["optimizer.kind=muown_signum", "optimizer.eta=1e20", "steps=10",
+                "checkpoint_every=1"]
+        runs = [_observed_run(monkeypatch, tmp_path, w, "single", sets) for w in (1, 2)]
+        assert runs[1] == runs[0]
+        _, files, events = runs[1]
+        failure = json.loads(files["summary.json"])["failure"]
+        assert failure == {"step": 2, "layer": "W2", "exception": "ZeroRowError",
+                           "message": "row 0 has norm 0.0, below the nonzero-row floor"}
+        assert [e for e in events if e[0] == "checkpoint"] == [("checkpoint", "ckpt_000001")]
+        assert {f.split("/")[0] for f in files if f.startswith("ckpt")} == {"ckpt_000001"}
+
+    @pytest.mark.parametrize("fault, caller_rows", [
+        ("fork fails", 30),
+        ("worker dies computing row 4", 27),
+        ("worker leaves after row 3", 27),
+    ])
+    def test_lost_worker_rows_are_computed_in_the_caller(self, monkeypatch, tmp_path,
+                                                         fault, caller_rows):
+        sets = ["steps=30", "checkpoint_every=10"]
+        inline = _observed_run(monkeypatch, tmp_path, 1, "single", sets)
+        caller, calls = os.getpid(), []
+        inner = harness._layer_metrics
+
+        def counted(*args):
+            calls.append(os.getpid())  # the child's list is its own copy
+            if os.getpid() != caller and len(calls) == 7 and "dies" in fault:
+                os.kill(os.getpid(), signal.SIGKILL)  # in W1 of row 4
+            return inner(*args)
+
+        monkeypatch.setattr(harness, "_layer_metrics", counted)
+        if fault == "fork fails":
+            def no_fork():
+                raise OSError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", no_fork)
+        elif "leaves" in fault:
+            def serves_three(link):
+                for _ in range(3):
+                    link.send(harness._metric_values(link.recv()))
+
+            monkeypatch.setattr(harness, "_serve_metrics", serves_three)
+        lost = _observed_run(monkeypatch, tmp_path / "lost", 2, "single", sets)
+        assert lost == inline
+        assert calls == [caller] * (2 * caller_rows)  # two matrix layers a row
+
+    @pytest.mark.parametrize("sets", [
+        ["optimizer.kind=adamw", "optimizer.eta=1e300", "steps=5"],
+        ["optimizer.eta=1e154", "steps=10"],
+    ], ids=["metrics-fail", "step-fails-behind-a-row"])
+    def test_stderr_is_the_inline_runs(self, tmp_path, sets):
+        # the step trained ahead shows its warnings only once it is taken, and
+        # never when the row before it fails
+        procs = [_cli_at(w, tmp_path / f"w{w}", "single", sets) for w in (1, 2)]
+        assert procs[0].returncode == procs[1].returncode == 1
+        assert "RuntimeWarning" in procs[0].stderr
+        assert procs[1].stderr == procs[0].stderr
+        assert procs[1].stdout.replace("w2", "w1") == procs[0].stdout
 
 
 class TestVectorRouting:
@@ -589,6 +759,19 @@ class TestCli:
 
 def _run_cli(out_dir, preset, sets):
     argv = [sys.executable, "-m", "muown.cli", "run", preset]
+    for item in sets:
+        argv += ["--set", item]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run(argv + ["--out", str(out_dir)], capture_output=True,
+                          text=True, env=env, timeout=120)
+
+
+def _cli_at(workers, out_dir, preset, sets):
+    """The CLI run in a new process with ``optimizers._workers()`` at ``workers``."""
+    code = ("import sys; from muown import cli, optimizers; "
+            f"optimizers._workers = lambda: {workers}; sys.exit(cli.main(sys.argv[1:]))")
+    argv = [sys.executable, "-c", code, "run", preset]
     for item in sets:
         argv += ["--set", item]
     src = str(Path(__file__).resolve().parents[1] / "src")
