@@ -133,8 +133,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def _mlp2_forward(params: ParamSet, x: np.ndarray):
     w1, b1, w2, b2 = (params[k].value for k in ("W1", "b1", "W2", "b2"))
-    hidden = np.tanh(x @ w1.T + b1)
-    return hidden @ w2.T + b2, hidden
+    hidden = np.tanh(x.dot(w1.T) + b1)
+    return hidden.dot(w2.T) + b2, hidden
 
 
 def loss_and_grad(spec: ModelSpec, params: ParamSet, batch: Optional[Batch]):
@@ -163,10 +163,10 @@ def loss_and_grad(spec: ModelSpec, params: ParamSet, batch: Optional[Batch]):
         loss = float(0.5 * (resid * resid).sum() / bsz)
         dpred = resid / bsz
         w2 = params["W2"].value
-        d_w2 = dpred.T @ hidden
+        d_w2 = dpred.T.dot(hidden)
         d_b2 = dpred.sum(axis=0)
-        dhid = (dpred @ w2) * (1.0 - hidden * hidden)
-        d_w1 = dhid.T @ x
+        dhid = dpred.dot(w2) * (1.0 - hidden * hidden)
+        d_w1 = dhid.T.dot(x)
         d_b1 = dhid.sum(axis=0)
         return loss, [d_w1, d_b1, d_w2, d_b2]
 

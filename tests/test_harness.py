@@ -500,7 +500,7 @@ class TestMetricsWorker:
         pytest.param("single", ["optimizer.eta=1e300", "steps=5", "log_every=100"],
                      id="step-fails"),
         # row 1 is in flight when step 2 fails: row 1 and checkpoint 1 still land
-        pytest.param("single", ["optimizer.eta=1e154", "steps=10", "checkpoint_every=1"],
+        pytest.param("single", ["optimizer.eta=2e154", "steps=10", "checkpoint_every=1"],
                      id="step-fails-behind-a-row"),
     ])
     def test_same_run_at_one_and_two_workers(self, monkeypatch, tmp_path, preset, sets):
@@ -557,7 +557,7 @@ class TestMetricsWorker:
 
     @pytest.mark.parametrize("sets", [
         ["optimizer.kind=adamw", "optimizer.eta=1e300", "steps=5"],
-        ["optimizer.eta=1e154", "steps=10"],
+        ["optimizer.eta=2e154", "steps=10"],
     ], ids=["metrics-fail", "step-fails-behind-a-row"])
     def test_stderr_is_the_inline_runs(self, tmp_path, sets):
         # the step trained ahead shows its warnings only once it is taken, and

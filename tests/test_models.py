@@ -128,11 +128,45 @@ class TestMlp2:
         assert errs[0] / errs[1] > 3.0
         assert errs[1] / errs[2] > 3.0
 
+    @pytest.mark.parametrize("dims,batch_size", [
+        ({"d_in": 6, "hidden": 8, "d_out": 4}, 16),
+        ({"d_in": 64, "hidden": 256, "d_out": 32}, 64),
+    ], ids=["desk", "mid"])
+    def test_loss_and_grad_equal_the_matmul_transcription_bitwise(self, dims, batch_size):
+        spec, params, batches = make_model("mlp2", dims, seed=4, num_batches=2,
+                                           batch_size=batch_size)
+        for batch in batches:
+            loss, grads = loss_and_grad(spec, params, batch)
+            ref_loss, ref_grads = _mlp2_matmul_loss_and_grad(params, batch)
+            assert loss == ref_loss
+            assert len(grads) == len(ref_grads) == 4
+            for g, ref, p in zip(grads, ref_grads, params):
+                assert bitwise_equal(g, ref), p.name
+
     def test_init_rows_nonzero(self):
         params = init_params("mlp2", MLP_DIMS, seed=0)
         for p in params:
             if p.value.ndim == 2:
                 assert np.all(row_norms(p.value) > 0)
+
+
+def _mlp2_matmul_loss_and_grad(params, batch):
+    """mlp2's loss and gradients as first written, every product an ``@``:
+    the bitwise reference for ``loss_and_grad``."""
+    w1, b1, w2, b2 = (params[k].value for k in ("W1", "b1", "W2", "b2"))
+    x, y = batch.inputs, batch.targets
+    hidden = np.tanh(x @ w1.T + b1)
+    pred = hidden @ w2.T + b2
+    resid = pred - y
+    bsz = x.shape[0]
+    loss = float(0.5 * (resid * resid).sum() / bsz)
+    dpred = resid / bsz
+    d_w2 = dpred.T @ hidden
+    d_b2 = dpred.sum(axis=0)
+    dhid = (dpred @ w2) * (1.0 - hidden * hidden)
+    d_w1 = dhid.T @ x
+    d_b1 = dhid.sum(axis=0)
+    return loss, [d_w1, d_b1, d_w2, d_b2]
 
 
 def per_row_init_matrix(stream, m, n):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muown.errors import NonFiniteError
 from muown.linalg import frobenius_norm, nuclear_norm, singular_values
+from muown.models import loss_and_grad, make_model
 from muown.orthogonalize import (
     AGGRESSIVE_COEFFS,
     CLASSIC_COEFFS,
@@ -81,6 +84,11 @@ def _pinned_inputs(rng):
     # input, not on the transposed view the textbook loop uses, fails here
     yield "tall-gram37", rng.standard_normal((100, 37))
     yield "wide-gram37", rng.standard_normal((37, 100))
+    # the shapes the presets and the benchmark step
+    yield "desk-8x6", rng.standard_normal((8, 6))
+    yield "desk-4x8", rng.standard_normal((4, 8))
+    yield "mid-256x64", rng.standard_normal((256, 64))
+    yield "mid-32x256", rng.standard_normal((32, 256))
 
 
 @pytest.mark.parametrize("cfg", [NSConfig(), NSConfig(steps=1),
@@ -92,6 +100,39 @@ def test_newton_schulz_equals_textbook_loop_bitwise(rng, cfg):
         out = newton_schulz(g, cfg)
         assert bitwise_equal(out, _textbook_newton_schulz(g, cfg)), name
         assert bitwise_equal(g, before), name  # the input is never written to
+
+
+_LIGHT_CONFIGS = st.one_of(st.integers(1, 3).map(lambda k: NSConfig(steps=k)),
+                           st.just(NSConfig(steps=5, coeffs=AGGRESSIVE_COEFFS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 24), n=st.integers(1, 24),
+       layout=st.sampled_from(["C", "F", "strided"]), cfg=_LIGHT_CONFIGS,
+       seed=st.integers(0, 2**32 - 1))
+def test_newton_schulz_equals_textbook_loop_bitwise_property(m, n, layout, cfg, seed):
+    rng = np.random.default_rng(seed)
+    if layout == "strided":
+        g = rng.standard_normal((2 * m, 3 * n))[1::2, ::3]
+    else:
+        g = rng.standard_normal((m, n))
+        if layout == "F":
+            g = np.asfortranarray(g)
+    assert bitwise_equal(newton_schulz(g, cfg), _textbook_newton_schulz(g, cfg))
+
+
+def test_light_paths_skip_the_np_dot_dispatcher(rng, monkeypatch):
+    # the per-call cost of these loops is numpy's overhead: a product that
+    # goes back through np.dot (and its __array_function__ dispatch) fails here
+    spec, params, batches = make_model("mlp2", {"d_in": 6, "hidden": 8, "d_out": 4}, seed=3)
+
+    def dispatched(*args, **kwargs):
+        raise AssertionError("np.dot called")
+
+    monkeypatch.setattr(np, "dot", dispatched)
+    for shape in [(8, 6), (32, 256)]:
+        newton_schulz(rng.standard_normal(shape))
+    loss_and_grad(spec, params, batches[0])
 
 
 class TestNewtonSchulz:
@@ -129,6 +170,30 @@ class TestNewtonSchulz:
         g[0, 0] = np.nan
         with pytest.raises(NonFiniteError):
             newton_schulz(g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_next_to_huge_entries_rejected(self, bad):
+        # the squares of 1e300 overflow, so these take the rescaling path
+        for big in (1.0, 1e300):
+            g = np.full((2, 2), big)
+            g[0, 0] = bad
+            with pytest.raises(NonFiniteError):
+                newton_schulz(g)
+
+    @pytest.mark.parametrize("k", [560, -560])
+    def test_scaled_past_the_float_range_keeps_its_bits(self, rng, k):
+        # the squares of g * 2**560 overflow and those of g * 2**-560
+        # underflow; a power-of-two scaling is exact, so the bits hold
+        for name, g in _pinned_inputs(rng):
+            assert bitwise_equal(newton_schulz(g * 2.0**k), newton_schulz(g)), name
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170, 1e-200])
+    def test_finite_inputs_at_the_edges_of_the_float_range(self, rng, scale):
+        g = rng.standard_normal((4, 3))
+        ref = newton_schulz(g)
+        assert np.allclose(newton_schulz(g * scale), ref, rtol=0, atol=1e-13)
+        assert np.allclose(descent_direction(g * scale, "ns"), -ref, rtol=0, atol=1e-13)
+        assert np.allclose(ref, polar_exact(g), rtol=0, atol=1e-10)
 
     def test_band_and_pairing_across_conditioning(self, rng):
         # default (classic) config: band and >= 95% of the exact dual pairing
