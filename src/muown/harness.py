@@ -11,6 +11,8 @@ byte. Presets write three artifacts into the output directory: ``log.csv``
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import json
 import math
 import os
@@ -20,8 +22,7 @@ import struct
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -313,21 +314,6 @@ def _layer_metrics(layer: Layer, grad: np.ndarray, prev_param: np.ndarray) -> di
     }
 
 
-def _metric_values(items: list) -> tuple[list, Optional[str], Optional[Exception]]:
-    """One logged step's metric values, in log.csv column order, from its
-    ``(layer, grad, prev_param)`` items, one per matrix layer; with the name of
-    the last layer tried (None without items) and the error that stopped it."""
-    values, where = [], None
-    for layer, grad, prev_param in items:
-        where = layer.name
-        try:
-            met = _layer_metrics(layer, grad, prev_param)
-        except Exception as exc:  # noqa: BLE001 - raised again by the caller
-            return values, where, exc
-        values += [met[metric] for metric in _LAYER_METRICS]
-    return values, where, None
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
                    probe: Optional[Callable] = None) -> RunLog:
     """Train per the config; returns the log and optionally writes artifacts.
@@ -337,14 +323,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     at the failing step and records it as ``summary["failure"]`` (see
     ``_failure``) in place of the final loss.
 
-    With two or more workers (``optimizers._workers``), a forked worker process
-    computes each logged step's metrics (``_MetricsWorker``) while this process
-    trains the next step, which is pure; at most one step is in flight. Side
-    effects keep their order: probe t, row t, checkpoint t, then probe t + 1.
-    A failed row stops the run at its step, dropping the step trained ahead,
-    and an error training step t + 1 is raised only after row t and checkpoint
-    t. Without the worker every row is computed here, in that order, so the
-    files written are the same at any worker count.
+    The steps are trained by ``_train`` in a ``_Child``: with two or more
+    workers (``optimizers._workers``), a forked process trains ahead and sends
+    each step as soon as it is trained. This process takes the steps in order
+    and does each one's side effects itself: probe t, metrics row t (on
+    logged steps), checkpoint t, then probe t + 1. A failed row stops the run
+    at its step, and an error training step t + 1 is raised after row t and
+    checkpoint t. Without the child the steps are trained here, in the same
+    order, so the files written are the same at any worker count.
     """
     spec, params, batches = _make_model(cfg)
     layers = init_layers(params.named_values(), matrix_kind=cfg.optimizer_kind)
@@ -354,31 +340,22 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
         columns += [f"{name}.{metric}" for metric in _LAYER_METRICS]
     rows: list[list] = []
     step, where, failure = 0, None, None
-    steps = _train(cfg, spec, layers, batches, cfg.hp)
-    with _MetricsWorker(bool(matrix_layers)) as worker:
+    with _Child(functools.partial(_train, cfg, spec, layers, batches, cfg.hp)) as steps:
         try:
-            take = _ahead(steps)
-            while (item := take()) is not None:
-                t, eta_t, loss, grads, before, layers = item
-                step = t + 1
+            for t, eta_t, loss, grads, after in steps:
+                before, layers, step = layers, after, t + 1
                 if probe is not None:
                     probe(t, before, layers, loss, grads)
-                logged = step % cfg.log_every == 0 or step == cfg.steps
-                items = [(layer, grad, prev.state.param)
-                         for layer, prev, grad in zip(layers, before, grads)
-                         if layer.name in matrix_layers] if logged else []
-                started = logged and worker.start(items)
-                if started:  # train step t + 1 while the worker computes row t
-                    take = _ahead(steps)
-                if logged:
-                    values, where, error = worker.values(items, started)
-                    if error is not None:
-                        raise error
-                    rows.append([step, float(eta_t), float(loss), *values])
+                if step % cfg.log_every == 0 or step == cfg.steps:
+                    row = [step, float(eta_t), float(loss)]
+                    for layer, prev, grad in zip(layers, before, grads):
+                        if layer.name in matrix_layers:
+                            where = layer.name
+                            met = _layer_metrics(layer, grad, prev.state.param)
+                            row += [met[metric] for metric in _LAYER_METRICS]
+                    rows.append(row)
                 if out_dir and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
                     save_checkpoint(os.path.join(out_dir, f"ckpt_{step:06d}"), layers, cfg.hp)
-                if not started:
-                    take = _ahead(steps)
         except _RUN_ERRORS as exc:
             failure = _failure(exc, step, layers, where)
 
@@ -407,37 +384,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
                   csv_path=_write_run(out_dir, columns, rows, summary))
 
 
-def _ahead(steps) -> Callable:
-    """Take the next item of ``steps`` now; the function returned gives it back
-    later: the item, None after the last, or the error taking it raised.
-
-    The warnings that taking it shows are held back and issued again only
-    then, so they print as if it had been taken then, and never if it is
-    dropped (``_unshow``, ``_warn_again``).
-    """
-    held = []
-    shown, warnings.showwarning = warnings.showwarning, _keeper(held)
-    try:
-        item, error = next(steps, None), None
-    except Exception as exc:  # noqa: BLE001 - raised again when the item is asked for
-        item, error = None, exc
-    finally:
-        warnings.showwarning = shown
-    for warning in held:
-        _unshow(*warning)
-
-    def take():
-        for warning in held:
-            _warn_again(*warning)
-        if error is not None:
-            raise error
-        return item
-    return take
-
-
 def _train(cfg: ExperimentConfig, spec: ModelSpec, layers: list[Layer],
            batches: list[Batch], hp: HyperParams):
-    """Yield ``(t, eta_t, loss, grads, layers_before, layers_after)`` per step.
+    """Yield ``(t, eta_t, loss, grads, layers)`` per step, ``layers`` as stepped.
 
     The one training loop of every preset: batches in one ``epoch_order`` per
     epoch, the schedule's rate scaled from ``hp.eta``, loss and gradients at
@@ -451,8 +400,8 @@ def _train(cfg: ExperimentConfig, spec: ModelSpec, layers: list[Layer],
         eta_t = eta_at(cfg.schedule, t, cfg.steps, hp.eta)
         loss, grads = loss_and_grad(spec, _params_as_set(layers), batches[order[slot]])
         step_hp = hp if eta_t == hp.eta else replace(hp, eta=eta_t)
-        before, layers = layers, step_all(layers, grads, step_hp)
-        yield t, eta_t, loss, grads, before, layers
+        layers = step_all(layers, grads, step_hp)
+        yield t, eta_t, loss, grads, layers
 
 
 # What stops a run: a failed optimizer step, or a metric of a diverged layer.
@@ -614,9 +563,9 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
         step, layers, failure = 0, start, None
         try:
             # the quadratic ignores its batch, so one placeholder serves every step
-            for t, _, loss, grads, before, layers in _train(run_cfg, spec, start, [None], hp):
+            for t, _, loss, grads, after in _train(run_cfg, spec, start, [None], hp):
+                before, layers, step = layers, after, t + 1
                 losses.append(loss)
-                step = t + 1
                 gg, gr = _view_of(before[0].state).split(grads[0])
                 dual = dual_norm(gg, gr)
                 bounds.append(-step_size * vec_l1(gg) - step_size * nuclear_norm(gr)
@@ -668,7 +617,7 @@ def preset_noise_compare(cfg: ExperimentConfig, out_dir: Optional[str] = None) -
     rows = []
     step, where, failure = 0, None, None
     try:
-        for t, _, _, _, _, layers in _train(cfg, spec, layers, batches, cfg.hp):
+        for t, _, _, _, layers in _train(cfg, spec, layers, batches, cfg.hp):
             step = t + 1
             if step not in checkpoint_steps:
                 continue
@@ -735,7 +684,7 @@ def _sweep_cell(cfg: ExperimentConfig, spec: ModelSpec, params: ParamSet,
     try:
         # A step is counted when the loss it started from is below
         # the sentinel; the step taken from a diverged loss is not.
-        for t, _, loss, _, _, stepped in _train(cfg, spec, layers, batches,
+        for t, _, loss, _, stepped in _train(cfg, spec, layers, batches,
                                                 replace(cfg.hp, eta=eta)):
             if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
                 break
@@ -753,41 +702,20 @@ def _map_cells(cell: Callable, cells: list) -> list:
     """``[cell(c) for c in cells]``, the cells shared among ``_workers()`` processes.
 
     Worker w runs ``cells[w::workers]``. The calling process is worker 0; each
-    other worker is a ``_Child`` forked once the caller has built what the
-    cells share, so it inherits that and sends back only its results. Hooks in
-    the calling process (on ``step_all``, say) see only worker 0's cells. An
-    exception from a child's cells is raised here, and its warnings are issued
-    here. A worker that cannot be forked, or that dies without sending its
-    results, has its cells run here, so the results never depend on the worker
-    count. A child whose caller has died leaves before its next cell.
+    other worker's share is mapped in a ``_Child``, forked once the caller has
+    built what the cells share, so that it inherits that and sends back only
+    each cell's result. Hooks in the calling process (on ``step_all``, say)
+    see only worker 0's cells. The ``_Child`` fallbacks keep the results
+    independent of the worker count.
     """
-    workers = min(optimizers._workers(), len(cells)) if hasattr(os, "fork") else 1
-    caller = os.getpid()
-
-    def share(link: _Link) -> None:  # in the child forked for worker w, as w was then
-        rows = []
-        for c in cells[w::workers]:
-            if os.getppid() != caller:
-                return  # no one is left to read the results
-            rows.append(cell(c))
-        link.send(rows)
-
+    workers = min(optimizers._workers(), len(cells))
     out = [None] * len(cells)
     with contextlib.ExitStack() as reaped:
-        children = []
-        for w in range(1, workers):
-            try:
-                children.append(reaped.enter_context(_Child(share)))
-            except OSError:
-                break
-        for w in range(workers):
-            rows = None
-            if 0 < w <= len(children):
-                try:
-                    rows = children[w - 1].recv()
-                except _Lost:
-                    pass  # the child died before sending its results
-            out[w::workers] = [cell(c) for c in cells[w::workers]] if rows is None else rows
+        children = [reaped.enter_context(_Child(functools.partial(map, cell, cells[w::workers])))
+                    for w in range(1, workers)]
+        out[0::workers] = [cell(c) for c in cells[0::workers]]
+        for w, child in enumerate(children, 1):
+            out[w::workers] = list(child)
     return out
 
 
@@ -796,142 +724,154 @@ def _map_cells(cell: Callable, cells: list) -> list:
 
 
 class _Lost(Exception):
-    """The process at the other end of a link ended, or closed its end."""
+    """A child's pipe ended before the end of its stream: the child died."""
 
 
-class _Link:
-    """One end of a pair of pipes to another process.
-
-    ``send`` pickles an object to the other end, with the warnings this end
-    has kept in ``caught`` since; ``recv`` issues the other end's warnings here and
-    returns the object it sent, or raises it if sent as an error. Either
-    raises ``_Lost`` once the other end has gone. Arrays travel out of band:
-    their bytes go straight from the sender's buffers to the pipe, and the
-    receiver's arrays are made on the buffers it reads them into.
-    """
-
-    def __init__(self, read: int, write: int):
-        self.read, self.write = read, write
-        self.caught: list[tuple] = []  # warnings kept (``_keeper``) and not yet sent
-
-    def send(self, obj, ok: bool = True) -> None:
-        buffers = []
-        head = pickle.dumps((ok, obj, self.caught), 5, buffer_callback=buffers.append)
-        self.caught.clear()
-        frames = [memoryview(head), *(b.raw() for b in buffers)]
-        sizes = [len(frame) for frame in frames]
-        try:
-            for chunk in (struct.pack(f"<{len(sizes) + 1}Q", len(sizes), *sizes), *frames):
-                view = memoryview(chunk)
-                while view:
-                    view = view[os.write(self.write, view):]
-        except BrokenPipeError as exc:
-            raise _Lost from exc
-
-    def recv(self):
-        try:
-            count, = struct.unpack("<Q", self._read(8))
-            sizes = struct.unpack(f"<{count}Q", self._read(8 * count))
-            head, *buffers = [self._read(size) for size in sizes]
-            ok, obj, caught = pickle.loads(head, buffers=buffers)
-        except (EOFError, pickle.UnpicklingError) as exc:
-            raise _Lost from exc
-        for text, category, filename, lineno in caught:
-            _warn_again(text, category, filename, lineno)
-        if not ok:
-            raise obj
-        return obj
-
-    def _read(self, size: int) -> bytearray:
-        buf = bytearray(size)
-        done = 0
-        while done < size:
-            got = os.readv(self.read, [memoryview(buf)[done:]])
-            if not got:
-                raise EOFError("the other end closed its pipe")
-            done += got
-        return buf
-
-
-# The caller's ends of the pipes of every live _Child of this process. A new
-# child closes them, so that each child reads EOF once its caller has closed
-# its end or died, whichever children were forked after it.
+# The read ends of the pipes of every live _Child of this process. A new child
+# closes them, so that each child's next write fails once its caller has
+# closed its end or died, whichever children were forked after it.
 _OPEN_ENDS: set[int] = set()
 
 
-class _Child(_Link):
-    """A forked worker process, reached through this link: the one fork,
-    pipe, pickle and reap protocol of this module.
+class _Child:
+    """The items of the iterator ``make()`` returns, made in a forked child
+    process: the one fork, pipe, pickle and reap protocol of this module.
 
-    ``_Child(body)`` forks a child that runs ``body(link)`` with its own end,
-    a ``_Link``, and leaves by ``os._exit``, which flushes none of the
-    caller's buffers and runs no atexit hook. The child records the warnings
-    it would print and sends them with its next message. An exception that
-    escapes ``body`` is sent to be raised by the caller's next ``recv``; one
-    that does not survive a pickle round trip comes back as
-    ``RuntimeError("<Type>: <message>")``. ``body`` ending, or ``link.recv``
-    finding the caller gone, ends the child. A failed fork raises OSError.
+    With two or more workers (``optimizers._workers``), ``_Child(make)`` forks
+    a child that runs ``make()`` and sends each item up one pipe as soon as it
+    is made, then leaves by ``os._exit``, which flushes none of the caller's
+    buffers and runs no atexit hook. Iterating the ``_Child`` in the caller
+    takes the items in order. It issues the warnings the child showed making
+    an item when it takes that item, and raises ``make()``'s error at its
+    place in the stream; one that does not survive a pickle round trip comes
+    back as ``RuntimeError("<Type>: <message>")``. With one worker, no fork,
+    a fork that raises OSError, or a child lost mid-stream, the iteration runs
+    ``make()`` here and skips the items it already has, unwarned.
 
-    Use it as a context manager, which reaps the child on exit: killed first
-    if the caller is raising, else once it has read EOF and left. Forked, not
+    Use it as a context manager, which kills the child, if still there, and
+    reaps it. A child whose caller has died ends at its next item. Forked, not
     spawned, so that no child rebuilds the model; the only threads a caller
     may hold are ``step_all``'s idle pool, which a child replaces
     (``optimizers._pool``), and OpenBLAS's, which it restarts after a fork.
     """
 
-    def __init__(self, body: Callable[[_Link], None]):
+    def __init__(self, make: Callable[[], Iterator]):
+        self.make, self.pid = make, None
+        if optimizers._workers() < 2 or not hasattr(os, "fork"):
+            return
         import fcntl  # here: a platform that forks has it
 
-        down, up = os.pipe(), os.pipe()  # caller to child, child to caller
-        # room for one step's metric items (0.6 MB at train-mid), so that the
-        # caller's write ends without waiting for the child to read; Linux only
+        read, write = os.pipe()
+        # room for more than one item (0.6 MB a step at train-mid), so that the
+        # child trains the next step while the caller works on this one; Linux only
         with contextlib.suppress(AttributeError, OSError):
-            fcntl.fcntl(down[1], fcntl.F_SETPIPE_SZ, 1 << 20)
+            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, 1 << 20)
         try:
             pid = os.fork()
         except OSError:
-            for fd in down + up:
-                os.close(fd)
-            raise
+            os.close(read)
+            os.close(write)
+            return
         if pid == 0:
-            _run_child(body, down, up)
-        os.close(down[0])
-        os.close(up[1])
-        super().__init__(up[0], down[1])
-        self.pid = pid
-        _OPEN_ENDS.update((self.read, self.write))
+            _run_child(make, read, write)
+        os.close(write)
+        self.pid, self.read = pid, read
+        _OPEN_ENDS.add(read)
 
     def __enter__(self) -> "_Child":
         return self
 
-    def __exit__(self, kind, *_) -> None:
-        if kind is not None:
+    def __exit__(self, *_) -> None:
+        if self.pid is not None:
+            _OPEN_ENDS.discard(self.read)
+            os.close(self.read)
             os.kill(self.pid, signal.SIGKILL)
-        _OPEN_ENDS.difference_update((self.read, self.write))
-        os.close(self.read)
-        os.close(self.write)
-        os.waitpid(self.pid, 0)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+    def __iter__(self) -> Iterator:
+        taken = 0
+        while self.pid is not None:
+            try:
+                caught, kind, payload = _recv(self.read)
+            except _Lost:
+                break  # the child died: make the rest here
+            for warning in caught:
+                _warn_again(*warning)
+            if kind == "error":
+                raise payload
+            if kind == "end":
+                return
+            taken += 1
+            yield payload
+        items = self.make()
+        shown, warnings.showwarning = warnings.showwarning, lambda *_: None
+        try:
+            # their warnings were issued when they were taken from the child
+            next(itertools.islice(items, taken, taken), None)
+        finally:
+            warnings.showwarning = shown
+        yield from items
 
 
-def _run_child(body: Callable[[_Link], None], down: tuple, up: tuple) -> None:
-    """The forked side of ``_Child``: run ``body`` on the child's end of the
-    pipes ``down`` (caller to child) and ``up``, then ``os._exit``."""
+def _run_child(make: Callable[[], Iterator], read: int, write: int) -> None:
+    """The forked side of ``_Child``: send ``(warnings, kind, payload)`` up
+    pipe ``write`` for each item of ``make()``, then for its end or its
+    error, and ``os._exit``; a closed pipe ends it sooner."""
     code = 1
     try:
-        for fd in (down[1], up[0], *_OPEN_ENDS):
+        for fd in (read, *_OPEN_ENDS):
             os.close(fd)
         _OPEN_ENDS.clear()
-        link = _Link(down[0], up[1])
-        warnings.showwarning = _keeper(link.caught)
+        caught: list[tuple] = []  # the warnings shown since the last message
+        warnings.showwarning = _keeper(caught)
         try:
-            body(link)
-        except _Lost:
-            pass  # the caller closed its end, or died
+            for item in make():
+                _send(write, (caught, "item", item))
+                caught.clear()
+            message = (caught, "end", None)
+        except BrokenPipeError:
+            message = None  # no one is left to read the rest
         except BaseException as exc:  # noqa: BLE001 - raised again in the caller
-            link.send(_portable(exc), ok=False)
+            message = (caught, "error", _portable(exc))
+        if message is not None:
+            _send(write, message)
         code = 0
     finally:
         os._exit(code)
+
+
+def _send(fd: int, message) -> None:
+    """Write ``message`` to pipe ``fd`` pickled, its arrays out of band: their
+    bytes go straight from their buffers to the pipe."""
+    buffers = []
+    head = pickle.dumps(message, 5, buffer_callback=buffers.append)
+    frames = [memoryview(head), *(b.raw() for b in buffers)]
+    sizes = [len(frame) for frame in frames]
+    for chunk in (struct.pack(f"<{len(sizes) + 1}Q", len(sizes), *sizes), *frames):
+        view = memoryview(chunk)
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _recv(fd: int):
+    """The next message ``_send`` wrote to pipe ``fd``, its arrays made on the
+    buffers read; ``_Lost`` if the pipe ends first."""
+    count, = struct.unpack("<Q", _read(fd, 8))
+    sizes = struct.unpack(f"<{count}Q", _read(fd, 8 * count))
+    head, *buffers = [_read(fd, size) for size in sizes]
+    return pickle.loads(head, buffers=buffers)
+
+
+def _read(fd: int, size: int) -> bytearray:
+    buf = bytearray(size)
+    done = 0
+    while done < size:
+        got = os.readv(fd, [memoryview(buf)[done:]])
+        if not got:
+            raise _Lost
+        done += got
+    return buf
 
 
 def _portable(exc: BaseException) -> BaseException:
@@ -950,87 +890,15 @@ def _keeper(into: list) -> Callable:
         (str(message), category, filename, lineno))
 
 
-def _owner(filename: str):
-    """The loaded module whose source is ``filename``, or None."""
-    return next((m for m in list(sys.modules.values())
-                 if getattr(m, "__file__", None) == filename), None)
-
-
 def _warn_again(text: str, category: type, filename: str, lineno: int) -> None:
-    """Issue a warning shown elsewhere (in a worker, or held back) here, in the
-    registry of the module that owns ``filename``, so that the filters print
-    it as often as if it had been raised here and now."""
-    owner = _owner(filename)
+    """Issue a warning a child showed here, in the registry of the module that
+    owns ``filename``, so that the filters print it as often as if it had been
+    raised here and now."""
+    owner = next((m for m in list(sys.modules.values())
+                  if getattr(m, "__file__", None) == filename), None)
     registry = None if owner is None else vars(owner).setdefault("__warningregistry__", {})
     warnings.warn_explicit(text, category, filename, lineno,
                            module=getattr(owner, "__name__", None), registry=registry)
-
-
-def _unshow(text: str, category: type, filename: str, lineno: int) -> None:
-    """Take a shown warning back out of its module's registry, where the
-    default filter action noted it, so that ``_warn_again`` can show it."""
-    registry = getattr(_owner(filename), "__warningregistry__", {})
-    registry.pop((text, category, lineno), None)
-
-
-class _MetricsWorker:
-    """The forked process that computes logged steps' metric values
-    (``_metric_values``) for ``run_experiment``, one step at a time.
-
-    There is a worker only with two or more workers (``optimizers._workers``)
-    and a fork that works; without one, or once it is lost, ``values``
-    computes each row in the caller, from the same arrays, so the bytes are
-    the same. Use it as a context manager, which reaps the worker.
-    """
-
-    def __init__(self, wanted: bool):
-        self.child = None
-        if wanted and optimizers._workers() >= 2 and hasattr(os, "fork"):
-            with contextlib.suppress(OSError):
-                self.child = _Child(_serve_metrics)
-        self.link = self.child  # None once the worker is lost
-
-    def __enter__(self) -> "_MetricsWorker":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self.child is not None:
-            self.child.__exit__(*exc)
-
-    def start(self, items: list) -> bool:
-        """Send the worker one step's items; False when there is no worker."""
-        if self.link is not None:
-            try:
-                self.link.send([(_stripped(layer), grad, prev) for layer, grad, prev in items])
-                return True
-            except _Lost:
-                self.link = None
-        return False
-
-    def values(self, items: list, started: bool) -> tuple:
-        """``_metric_values(items)``: the worker's answer when it was ``started``
-        on them, else (or if it dies first) computed here."""
-        if started:
-            try:
-                return self.link.recv()
-            except _Lost:
-                self.link = None
-        return _metric_values(items)
-
-
-def _stripped(layer: Layer) -> Layer:
-    """``layer`` keeping only the state that ``_layer_metrics`` reads: ``param``,
-    and ``g`` and ``r`` when the optimizer keeps them."""
-    names = ("param", "g", "r") if hasattr(layer.state, "g") else ("param",)
-    return Layer(layer.name, layer.kind,
-                 SimpleNamespace(**{n: getattr(layer.state, n) for n in names}))
-
-
-def _serve_metrics(link: _Link) -> None:
-    """The metrics worker: answer each step's items with ``_metric_values``."""
-    while True:
-        values, where, error = _metric_values(link.recv())
-        link.send((values, where, None if error is None else _portable(error)))
 
 
 def run_preset(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:

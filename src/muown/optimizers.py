@@ -243,11 +243,11 @@ def _recompose(state, g, R, hp: HyperParams):
     With decay, g is refreshed to the new row norms so the |g| = ||W||_row
     invariant survives.
     """
-    r = check_rows_nonzero(row_norms(R))
+    r = check_rows_nonzero(_checked(row_norms(R), "carrier row norms"))
     w_new = (g / r)[:, None] * R
     if hp.weight_decay != 0.0:
         w_new = w_new - (hp.eta * hp.weight_decay) * state.param
-        g = check_rows_nonzero(row_norms(w_new))
+        g = check_rows_nonzero(_checked(row_norms(w_new), "updated row norms"))
     return _checked(w_new, "updated param"), g, r
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -7,8 +9,12 @@ import re
 import signal
 import subprocess
 import sys
+import textwrap
+import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -479,9 +485,10 @@ def _observed_run(monkeypatch, tmp_path, workers, preset, sets):
 
 @pytest.mark.usefixtures("time_bound")
 class TestMetricsWorker:
-    """With two workers a forked process computes each logged step's metrics
-    while the caller trains the next step; what the run writes, and the order
-    of its probe and checkpoint calls, are those of the inline run."""
+    """With two workers a forked child trains the steps and the caller takes
+    them, computing each logged step's metrics; what the run writes, its
+    stderr, and the order of its probe and checkpoint calls, are those of the
+    inline run."""
 
     @pytest.fixture(autouse=True)
     def reaped(self):
@@ -521,40 +528,6 @@ class TestMetricsWorker:
         assert [e for e in events if e[0] == "checkpoint"] == [("checkpoint", "ckpt_000001")]
         assert {f.split("/")[0] for f in files if f.startswith("ckpt")} == {"ckpt_000001"}
 
-    @pytest.mark.parametrize("fault, caller_rows", [
-        ("fork fails", 30),
-        ("worker dies computing row 4", 27),
-        ("worker leaves after row 3", 27),
-    ])
-    def test_lost_worker_rows_are_computed_in_the_caller(self, monkeypatch, tmp_path,
-                                                         fault, caller_rows):
-        sets = ["steps=30", "checkpoint_every=10"]
-        inline = _observed_run(monkeypatch, tmp_path, 1, "single", sets)
-        caller, calls = os.getpid(), []
-        inner = harness._layer_metrics
-
-        def counted(*args):
-            calls.append(os.getpid())  # the child's list is its own copy
-            if os.getpid() != caller and len(calls) == 7 and "dies" in fault:
-                os.kill(os.getpid(), signal.SIGKILL)  # in W1 of row 4
-            return inner(*args)
-
-        monkeypatch.setattr(harness, "_layer_metrics", counted)
-        if fault == "fork fails":
-            def no_fork():
-                raise OSError(11, "Resource temporarily unavailable")
-
-            monkeypatch.setattr(os, "fork", no_fork)
-        elif "leaves" in fault:
-            def serves_three(link):
-                for _ in range(3):
-                    link.send(harness._metric_values(link.recv()))
-
-            monkeypatch.setattr(harness, "_serve_metrics", serves_three)
-        lost = _observed_run(monkeypatch, tmp_path / "lost", 2, "single", sets)
-        assert lost == inline
-        assert calls == [caller] * (2 * caller_rows)  # two matrix layers a row
-
     @pytest.mark.parametrize("sets", [
         ["optimizer.kind=adamw", "optimizer.eta=1e300", "steps=5"],
         ["optimizer.eta=2e154", "steps=10"],
@@ -567,6 +540,183 @@ class TestMetricsWorker:
         assert "RuntimeWarning" in procs[0].stderr
         assert procs[1].stderr == procs[0].stderr
         assert procs[1].stdout.replace("w2", "w1") == procs[0].stdout
+
+
+def _no_fork():
+    raise OSError(11, "Resource temporarily unavailable")
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.usefixtures("time_bound")
+class TestChild:
+    """``harness._Child`` on toy generators, with no model."""
+
+    @pytest.fixture(autouse=True)
+    def reaped(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_items_come_in_order(self, monkeypatch, workers):
+        # 40 items of 320 kB: more than the pipe holds, so the child waits on it
+        monkeypatch.setattr(optimizers, "_workers", lambda: workers)
+        caller = os.getpid()
+        with harness._Child(lambda: ((i, os.getpid(), np.full(40_000, float(i)))
+                                     for i in range(40))) as items:
+            got = list(items)
+        assert [i for i, _, _ in got] == list(range(40))
+        assert {pid == caller for _, pid, _ in got} == {workers == 1}
+        assert all(np.array_equal(a, np.full(40_000, float(i))) for i, _, a in got)
+
+    def test_each_items_warnings_are_issued_when_it_is_taken(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "_workers", lambda: 2)
+
+        def make():
+            for i in range(3):
+                warnings.warn(f"making {i}", UserWarning)
+                yield i
+
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            with harness._Child(make) as items:
+                seen = [(i, [str(w.message) for w in shown]) for i in items]
+        assert seen == [(i, [f"making {j}" for j in range(i + 1)]) for i in range(3)]
+
+    def test_makes_error_is_raised_after_the_items_before_it(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "_workers", lambda: 2)
+
+        def make():
+            yield from range(3)
+            raise ZeroRowError(1, 0.0)
+
+        got = []
+        with pytest.raises(ZeroRowError) as info:
+            with harness._Child(make) as items:
+                for item in items:
+                    got.append(item)
+        assert got == [0, 1, 2]
+        assert (info.value.row, info.value.norm) == (1, 0.0)
+
+    def test_a_failed_fork_makes_the_items_here(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "_workers", lambda: 2)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        caller = os.getpid()
+        with harness._Child(lambda: (os.getpid() for _ in range(3))) as items:
+            assert list(items) == [caller] * 3
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_a_killed_childs_rest_is_made_here(self, monkeypatch, k):
+        monkeypatch.setattr(optimizers, "_workers", lambda: 2)
+        caller = os.getpid()
+
+        def make():
+            for i in range(6):
+                if os.getpid() != caller and i == k:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield i, os.getpid()
+
+        with harness._Child(make) as items:
+            got = list(items)
+        assert [i for i, _ in got] == list(range(6))
+        assert [pid == caller for _, pid in got] == [False] * k + [True] * (6 - k)
+
+    def test_caller_error_kills_and_reaps_the_child(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "_workers", lambda: 2)
+        with pytest.raises(LookupError):
+            with harness._Child(itertools.count) as items:
+                for i in items:
+                    if i == 3:
+                        raise LookupError("caller failed")
+
+
+@pytest.mark.usefixtures("time_bound")
+class TestTrainingChild:
+    """``run_experiment`` trains in a ``_Child`` at two workers."""
+
+    @pytest.fixture(autouse=True)
+    def reaped(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fault", ["fork fails", "child killed in step 4",
+                                       "child ends after 3 steps"])
+    def test_lost_child_steps_are_trained_in_the_caller(self, monkeypatch, tmp_path,
+                                                        fault):
+        sets = ["steps=30", "checkpoint_every=10"]
+        inline = _observed_run(monkeypatch, tmp_path, 1, "single", sets)
+        caller, calls = os.getpid(), []
+        inner = harness.step_all
+
+        def counted(layers, grads, hp):
+            calls.append(os.getpid())  # the child's list is its own copy
+            if os.getpid() != caller and len(calls) == 4:  # steps 1-3 were sent
+                if "killed" in fault:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(0)
+            return inner(layers, grads, hp)
+
+        monkeypatch.setattr(harness, "step_all", counted)
+        if fault == "fork fails":
+            monkeypatch.setattr(os, "fork", _no_fork)
+        lost = _observed_run(monkeypatch, tmp_path / "lost", 2, "single", sets)
+        assert lost == inline
+        assert calls == [caller] * 30  # the caller trains every step again
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    def test_killed_cli_run_leaves_no_training_child(self, tmp_path):
+        # the caller stops at its first row and is killed; its child, trained
+        # ahead until the pipe is full, fails its next write and leaves
+        code = textwrap.dedent("""
+            import os, sys, time
+            from muown import cli, harness, optimizers
+            optimizers._workers = lambda: 2
+            fork = os.fork
+
+            def forked():
+                pid = fork()
+                if pid:
+                    print("child", pid, flush=True)
+                return pid
+
+            def first_row(*args):
+                print("row", flush=True)
+                time.sleep(120)
+
+            os.fork, harness._layer_metrics = forked, first_row
+            sys.exit(cli.main(sys.argv[1:]))
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "run", "single", "--set", "steps=100000",
+             "--out", str(tmp_path)], stdout=subprocess.PIPE, text=True, env=env)
+        child = None
+        try:
+            child = int(proc.stdout.readline().split()[1])
+            assert proc.stdout.readline() == "row\n"
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 5
+            while _running(child) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(child)
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            if child is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(child, signal.SIGKILL)
 
 
 class TestVectorRouting:
@@ -746,6 +896,13 @@ class TestCli:
         failure = json.load(open(tmp_path / "summary.json"))["failure"]
         assert failure["layer"] in ("W1", "W2")
         assert not json.load(open(tmp_path / "verdict.json"))["pass"]
+
+    def test_overflowing_row_norms_stop_the_run_at_step_1(self, tmp_path):
+        # the first muown step's carrier rows are finite, but their norms overflow
+        proc = _run_cli(tmp_path, "single", ["optimizer.eta=1e200", "steps=2"])
+        assert proc.returncode == 1, proc.stderr
+        assert ("[FAIL] run_completed: stopped at step 1, layer W1: NonFiniteError: "
+                "carrier row norms contains NaN/Inf") in proc.stdout, proc.stdout
 
     def test_failed_rate_check_horizon_exits_1_with_a_verdict(self, tmp_path):
         # step size sqrt(1/4) = 0.5 drives the magnitude of the 2x2 identity to 0

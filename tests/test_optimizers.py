@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from muown import optimizers
-from muown.errors import StepAllError, ZeroRowError
+from muown.errors import NonFiniteError, StepAllError, ZeroRowError
 from muown.linalg import row_norms, singular_values
 from muown.optimizers import (
     HyperParams,
@@ -178,6 +178,18 @@ class TestMuownStep:
     def test_gradient_shape_mismatch(self, rng):
         with pytest.raises(ValueError):
             muown_step(init_muown(rng.standard_normal((3, 2))), np.zeros((2, 3)), POLAR)
+
+    @pytest.mark.parametrize("eta, decay, what", [
+        (1e200, 0.0, "carrier row norms"),
+        (1.0, 1e200, "updated row norms"),
+    ])
+    def test_overflowing_row_norms_raise(self, rng, eta, decay, what):
+        # finite rows whose squared norms overflow: an inf norm would give a zero
+        # weight (r) or an inf magnitude (g) instead of an error
+        hp = HyperParams(eta=eta, weight_decay=decay, backend="polar")
+        with pytest.raises(NonFiniteError, match=what):
+            muown_step(init_muown(rng.standard_normal((4, 3))),
+                       rng.standard_normal((4, 3)), hp)
 
 
 class TestMuownFixed:
