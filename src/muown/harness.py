@@ -11,6 +11,7 @@ byte. Presets write three artifacts into the output directory: ``log.csv``
 from __future__ import annotations
 
 import contextlib
+import csv
 import functools
 import itertools
 import json
@@ -18,7 +19,6 @@ import math
 import os
 import pickle
 import signal
-import struct
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -264,12 +264,6 @@ class RunLog:
     final_layers: Optional[list] = None
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_run(out_dir: Optional[str], columns: list[str], rows: list[list],
                summary: dict) -> Optional[str]:
     """Write ``log.csv`` and ``summary.json`` into ``out_dir`` if given; return the log path."""
@@ -279,9 +273,7 @@ def _write_run(out_dir: Optional[str], columns: list[str], rows: list[list],
     path = os.path.join(out_dir, "log.csv")
     with open(path, "w", newline="") as fh:
         fh.write(CSV_SCHEMA_LINE + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows([columns, *rows])
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     return path
@@ -621,9 +613,9 @@ def preset_noise_compare(cfg: ExperimentConfig, out_dir: Optional[str] = None) -
             step = t + 1
             if step not in checkpoint_steps:
                 continue
-            pset = _params_as_set(layers)
-            _, true_grads = models.full_dataset_gradient(spec, pset, batches)
-            sample_grads = [loss_and_grad(spec, pset, b)[1] for b in batches]
+            sample_grads: list[list[np.ndarray]] = []
+            _, true_grads = models.full_dataset_gradient(spec, _params_as_set(layers),
+                                                         batches, sample_grads)
             for i, layer in enumerate(layers):
                 if layer.state.param.ndim != 2:
                     continue
@@ -723,10 +715,6 @@ def _map_cells(cell: Callable, cells: list) -> list:
 # worker processes
 
 
-class _Lost(Exception):
-    """A child's pipe ended before the end of its stream: the child died."""
-
-
 # The read ends of the pipes of every live _Child of this process. A new child
 # closes them, so that each child's next write fails once its caller has
 # closed its end or died, whichever children were forked after it.
@@ -738,15 +726,16 @@ class _Child:
     process: the one fork, pipe, pickle and reap protocol of this module.
 
     With two or more workers (``optimizers._workers``), ``_Child(make)`` forks
-    a child that runs ``make()`` and sends each item up one pipe as soon as it
-    is made, then leaves by ``os._exit``, which flushes none of the caller's
+    a child that runs ``make()`` and pickles each item onto one pipe as soon as
+    it is made, then leaves by ``os._exit``, which flushes none of the caller's
     buffers and runs no atexit hook. Iterating the ``_Child`` in the caller
     takes the items in order. It issues the warnings the child showed making
     an item when it takes that item, and raises ``make()``'s error at its
     place in the stream; one that does not survive a pickle round trip comes
-    back as ``RuntimeError("<Type>: <message>")``. With one worker, no fork,
-    a fork that raises OSError, or a child lost mid-stream, the iteration runs
-    ``make()`` here and skips the items it already has, unwarned.
+    back as ``RuntimeError("<Type>: <message>")``. With one worker, no fork, a
+    fork that raises OSError, or a child lost mid-stream (a child that cannot
+    pickle an item whole ends there), the iteration runs ``make()`` here and
+    skips the items it already has, unwarned.
 
     Use it as a context manager, which kills the child, if still there, and
     reaps it. A child whose caller has died ends at its next item. Forked, not
@@ -775,7 +764,7 @@ class _Child:
         if pid == 0:
             _run_child(make, read, write)
         os.close(write)
-        self.pid, self.read = pid, read
+        self.pid, self.read = pid, os.fdopen(read, "rb")
         _OPEN_ENDS.add(read)
 
     def __enter__(self) -> "_Child":
@@ -783,8 +772,8 @@ class _Child:
 
     def __exit__(self, *_) -> None:
         if self.pid is not None:
-            _OPEN_ENDS.discard(self.read)
-            os.close(self.read)
+            _OPEN_ENDS.discard(self.read.fileno())
+            self.read.close()
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
             self.pid = None
@@ -793,8 +782,8 @@ class _Child:
         taken = 0
         while self.pid is not None:
             try:
-                caught, kind, payload = _recv(self.read)
-            except _Lost:
+                caught, kind, payload = pickle.load(self.read)
+            except (EOFError, pickle.UnpicklingError):
                 break  # the child died: make the rest here
             for warning in caught:
                 _warn_again(*warning)
@@ -815,63 +804,34 @@ class _Child:
 
 
 def _run_child(make: Callable[[], Iterator], read: int, write: int) -> None:
-    """The forked side of ``_Child``: send ``(warnings, kind, payload)`` up
-    pipe ``write`` for each item of ``make()``, then for its end or its
-    error, and ``os._exit``; a closed pipe ends it sooner."""
+    """The forked side of ``_Child``: pickle ``(warnings, kind, payload)`` onto
+    pipe ``write`` for each item of ``make()``, then for its end or its error,
+    and ``os._exit``. A message it cannot write whole ends it there, so that
+    the caller makes the rest."""
     code = 1
     try:
         for fd in (read, *_OPEN_ENDS):
             os.close(fd)
         _OPEN_ENDS.clear()
+        out = os.fdopen(write, "wb")
         caught: list[tuple] = []  # the warnings shown since the last message
         warnings.showwarning = _keeper(caught)
-        try:
-            for item in make():
-                _send(write, (caught, "item", item))
-                caught.clear()
-            message = (caught, "end", None)
-        except BrokenPipeError:
-            message = None  # no one is left to read the rest
-        except BaseException as exc:  # noqa: BLE001 - raised again in the caller
-            message = (caught, "error", _portable(exc))
-        if message is not None:
-            _send(write, message)
+
+        def messages():  # catches make()'s errors only, not those of pickle.dump
+            try:
+                for item in make():
+                    yield caught, "item", item
+                yield caught, "end", None
+            except Exception as exc:  # noqa: BLE001 - raised again in the caller
+                yield caught, "error", _portable(exc)
+
+        for message in messages():
+            pickle.dump(message, out, 5)
+            out.flush()
+            caught.clear()
         code = 0
     finally:
         os._exit(code)
-
-
-def _send(fd: int, message) -> None:
-    """Write ``message`` to pipe ``fd`` pickled, its arrays out of band: their
-    bytes go straight from their buffers to the pipe."""
-    buffers = []
-    head = pickle.dumps(message, 5, buffer_callback=buffers.append)
-    frames = [memoryview(head), *(b.raw() for b in buffers)]
-    sizes = [len(frame) for frame in frames]
-    for chunk in (struct.pack(f"<{len(sizes) + 1}Q", len(sizes), *sizes), *frames):
-        view = memoryview(chunk)
-        while view:
-            view = view[os.write(fd, view):]
-
-
-def _recv(fd: int):
-    """The next message ``_send`` wrote to pipe ``fd``, its arrays made on the
-    buffers read; ``_Lost`` if the pipe ends first."""
-    count, = struct.unpack("<Q", _read(fd, 8))
-    sizes = struct.unpack(f"<{count}Q", _read(fd, 8 * count))
-    head, *buffers = [_read(fd, size) for size in sizes]
-    return pickle.loads(head, buffers=buffers)
-
-
-def _read(fd: int, size: int) -> bytearray:
-    buf = bytearray(size)
-    done = 0
-    while done < size:
-        got = os.readv(fd, [memoryview(buf)[done:]])
-        if not got:
-            raise _Lost
-        done += got
-    return buf
 
 
 def _portable(exc: BaseException) -> BaseException:

@@ -301,8 +301,10 @@ def epoch_order(num_batches: int, seed: int, epoch: int) -> list[int]:
     return SplitMix64(derive_seed(seed, 0x0D0E, epoch)).permutation(num_batches)
 
 
-def full_dataset_gradient(spec: ModelSpec, params: ParamSet, batches):
-    """Mean loss and gradients over equal-size batches (the 'true' oracle)."""
+def full_dataset_gradient(spec: ModelSpec, params: ParamSet, batches,
+                          per_batch: Optional[list] = None):
+    """Mean loss and gradients over equal-size batches (the 'true' oracle).
+    Each batch's gradients are also appended to ``per_batch`` if given."""
     sizes = {b.inputs.shape[0] for b in batches}
     if len(sizes) > 1:
         raise ValueError("full-dataset gradient requires equal batch sizes")
@@ -310,6 +312,8 @@ def full_dataset_gradient(spec: ModelSpec, params: ParamSet, batches):
     acc = None
     for b in batches:
         loss, grads = loss_and_grad(spec, params, b)
+        if per_batch is not None:
+            per_batch.append(grads)
         total_loss += loss
         if acc is None:
             acc = [g.copy() for g in grads]

@@ -36,7 +36,8 @@ def test_unit_digest_matches_expected(workloads, tmp_path, name):
 
 
 def test_train_mid_digest_through_the_metrics_worker(workloads, tmp_path, monkeypatch):
-    # at two workers a forked process computes the per-step metrics
+    # at two workers a forked child trains the steps and this process takes
+    # them and computes the per-step metrics
     monkeypatch.setattr(workloads.optimizers, "_workers", lambda: 2)
     expected = json.loads((BENCH / "expected.json").read_text())["workload_log_sha256"]
     unit = workloads.WORKLOADS["train-mid"](1, str(tmp_path)).unit()

@@ -9,6 +9,7 @@ import re
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import time
 import warnings
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muown import harness, optimizers, rng
+from muown import harness, models, optimizers, rng
 from muown.cli import main as cli_main
 from muown.errors import ConfigError, StepAllError, ZeroRowError
 from muown.harness import (
@@ -40,6 +41,32 @@ def _read_csv(path):
     assert lines[0] == CSV_SCHEMA_LINE
     header = lines[1].split(",")
     return header, [line.split(",") for line in lines[2:]]
+
+
+def _fmt_reference(value) -> str:
+    """The reference text of a log.csv field: a float by its repr, anything
+    else by str."""
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.]{0,11}", fullmatch=True)
+_ROW_VALUES = st.one_of(
+    st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 5e-324, 1e308]),
+    st.integers(), _NAMES)
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=st.lists(_NAMES, min_size=1, max_size=6), data=st.data())
+def test_log_csv_is_the_joined_reference_fields(columns, data):
+    rows = data.draw(st.lists(st.lists(_ROW_VALUES, min_size=len(columns),
+                                       max_size=len(columns)), max_size=5))
+    with tempfile.TemporaryDirectory() as out:
+        path = harness._write_run(out, columns, rows, {})
+        with open(path, "rb") as fh:
+            written = fh.read()
+    lines = [CSV_SCHEMA_LINE, ",".join(columns)]
+    lines += [",".join(_fmt_reference(v) for v in row) for row in rows]
+    assert written == "".join(line + "\n" for line in lines).encode()
 
 
 class TestConfig:
@@ -171,6 +198,21 @@ class TestPresets:
         assert run_preset(cfg, None)["pass"]
         # Delta1, then one loss per step plus the loss after each horizon's last step
         assert counts == {"loss_and_grad": 1 + (2 + 3) + 2, "permutation": 0}
+
+    def test_noise_compare_takes_each_batch_gradient_once(self, monkeypatch):
+        calls = []
+        for owner in (harness, models):  # _train's and full_dataset_gradient's
+            inner = owner.loss_and_grad
+
+            def counted(*args, _inner=inner):
+                calls.append(1)
+                return _inner(*args)
+
+            monkeypatch.setattr(owner, "loss_and_grad", counted)
+        cfg = ExperimentConfig(preset="noise-compare")
+        assert run_preset(cfg, None)["pass"]
+        # one loss per step, then each batch once at each checkpoint
+        assert len(calls) == cfg.steps + cfg.noise_checkpoints * cfg.num_batches == 232
 
     def test_noise_compare_zero_variance_dataset(self, tmp_path):
         # single repeated batch -> every sigma is exactly zero
@@ -636,6 +678,51 @@ class TestChild:
                 for i in items:
                     if i == 3:
                         raise LookupError("caller failed")
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_a_child_killed_mid_message_has_its_rest_made_here(self, monkeypatch, k):
+        # item k's 320 kB array is on the pipe when its next part kills the child
+        monkeypatch.setattr(optimizers, "_workers", lambda: 2)
+        caller = os.getpid()
+
+        def make():
+            for i in range(4):
+                yield (i, os.getpid(), np.full(40_000, float(i)),
+                       _KillsAChild(caller) if i == k else None)
+
+        with harness._Child(make) as items:
+            got = list(items)
+        assert [i for i, *_ in got] == list(range(4))
+        assert [pid == caller for _, pid, *_ in got] == [False] * k + [True] * (4 - k)
+        assert all(np.array_equal(a, np.full(40_000, float(i))) for i, _, a, _ in got)
+
+    def test_an_item_that_does_not_pickle_is_made_here(self, monkeypatch):
+        # the child cannot send item 2, which holds a lambda, and ends there
+        caller = os.getpid()
+
+        def make():
+            for i in range(4):
+                yield i, os.getpid(), (lambda i=i: i) if i == 2 else None
+
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(optimizers, "_workers", lambda: workers)
+            with harness._Child(make) as items:
+                runs.append([(i, pid == caller, f and f()) for i, pid, f in items])
+        assert [(i, f) for i, _, f in runs[1]] == [(i, f) for i, _, f in runs[0]]
+        assert [here for _, here, _ in runs[1]] == [False, False, True, True]
+
+
+class _KillsAChild:
+    """An object whose pickling SIGKILLs any process but ``caller``."""
+
+    def __init__(self, caller):
+        self.caller = caller
+
+    def __reduce__(self):
+        if os.getpid() != self.caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return type(self), (self.caller,)
 
 
 @pytest.mark.usefixtures("time_bound")
