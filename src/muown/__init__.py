@@ -22,9 +22,7 @@ from .errors import (
     ZeroRowError,
 )
 from .linalg import (
-    frobenius_norm,
     nuclear_norm,
-    proj_radial,
     row_norms,
     svd,
     vec_l1,

@@ -261,7 +261,6 @@ class RunLog:
     rows: list[list]
     summary: dict
     csv_path: Optional[str] = None
-    final_layers: Optional[list] = None
 
 
 def _write_run(out_dir: Optional[str], columns: list[str], rows: list[list],
@@ -372,7 +371,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
             }
             for layer in layers
         }
-    return RunLog(columns=columns, rows=rows, summary=summary, final_layers=layers,
+    return RunLog(columns=columns, rows=rows, summary=summary,
                   csv_path=_write_run(out_dir, columns, rows, summary))
 
 

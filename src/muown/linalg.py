@@ -1,4 +1,4 @@
-"""Dense float64 linear algebra: norms, SVD, row projection.
+"""Dense float64 linear algebra: row norms, SVD, nuclear and l1 norms.
 
 Matrices are 2-D float64 ndarrays, vectors 1-D; every function here is pure
 and never mutates its arguments. Reductions use numpy's (deterministic)
@@ -31,21 +31,6 @@ def row_norms(a) -> np.ndarray:
     return np.sqrt((a * a).sum(axis=1))
 
 
-def proj_radial(a, x) -> np.ndarray:
-    """Remove from each row of ``a`` its component along the matching row of ``x``.
-
-    Returns a - Diag(diag(a x^T)) x. When the rows of ``x`` are unit norm this
-    is the per-row orthogonal projection, and the output rows are orthogonal
-    to the corresponding rows of ``x``.
-    """
-    a = as_matrix(a)
-    x = as_matrix(x)
-    if a.shape != x.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {x.shape}")
-    inner = (a * x).sum(axis=1)
-    return a - inner[:, None] * x
-
-
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Thin SVD: returns (U, sigma, V) with a = U @ Diag(sigma) @ V.T."""
     a = as_matrix(a)
@@ -59,11 +44,6 @@ def singular_values(a) -> np.ndarray:
 
 def nuclear_norm(a) -> float:
     return float(np.sum(singular_values(a)))
-
-
-def frobenius_norm(a) -> float:
-    a = as_matrix(a)
-    return float(np.sqrt((a * a).sum()))
 
 
 def vec_l1(v) -> float:

@@ -18,13 +18,13 @@ identical parameters and batches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import NonFiniteError
-from .linalg import singular_values
+from .linalg import row_norms, singular_values
 from .rng import SplitMix64, derive_seed
 
 MODEL_KINDS = ("quadratic", "logistic", "mlp2")
@@ -66,23 +66,6 @@ class ParamSet:
 
     def named_values(self):
         return [(p.name, p.value) for p in self.params]
-
-    def with_value(self, name: str, value: np.ndarray) -> "ParamSet":
-        out = []
-        hit = False
-        for p in self.params:
-            if p.name == name:
-                if value.shape != p.value.shape:
-                    raise ValueError(
-                        f"shape {value.shape} != {p.value.shape} for param {name!r}"
-                    )
-                out.append(replace(p, value=value))
-                hit = True
-            else:
-                out.append(p)
-        if not hit:
-            raise KeyError(name)
-        return ParamSet(out)
 
 
 @dataclass(frozen=True)
@@ -173,27 +156,6 @@ def loss_and_grad(spec: ModelSpec, params: ParamSet, batch: Optional[Batch]):
     raise ValueError(f"unknown model kind {spec.kind!r}")
 
 
-def finite_difference_grad(spec: ModelSpec, params: ParamSet, batch: Optional[Batch],
-                           h: float):
-    """Central differences for every coordinate; O(h^2) accurate."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    grads = []
-    for p in params:
-        flat = p.value.ravel().copy()
-        out = np.zeros_like(flat)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            lp, _ = loss_and_grad(spec, params.with_value(p.name, flat.reshape(p.value.shape)), batch)
-            flat[i] = orig - h
-            lm, _ = loss_and_grad(spec, params.with_value(p.name, flat.reshape(p.value.shape)), batch)
-            flat[i] = orig
-            out[i] = (lp - lm) / (2.0 * h)
-        grads.append(out.reshape(p.value.shape))
-    return grads
-
-
 # --------------------------------------------------------------------------
 # initialization and synthetic data
 
@@ -213,8 +175,7 @@ def _init_matrix(stream: SplitMix64, m: int, n: int) -> np.ndarray:
     w = stream.uniform_array((m, n), -a, a)
     i = 0
     while True:
-        rest = w[i:]
-        low = np.sqrt((rest * rest).sum(axis=1)) <= floor
+        low = row_norms(w[i:]) <= floor
         if not low.any():
             return w
         i += int(low.argmax())

@@ -19,13 +19,13 @@ Six step kinds are provided:
                      (equals SignSGD at beta1 = 0).
 
 The variants share one skeleton, so each step body holds only its magnitude
-rule (Adam, frozen or sign) and its momentum initialization. ``_grad_for``
-checks every kind's gradient; the three muown kinds split it with
-``ReparamView.split`` on the view rebuilt from their state; ``_nesterov`` is
-Muon's direction step, used unchanged by ``muon``, ``muown`` and
-``muown_fixed``; ``_adam`` is the moment update of ``adamw`` and of muown's
-magnitudes; ``_recompose`` rebuilds the effective weight of the muown kinds,
-with the decoupled decay.
+rule (Adam, frozen or sign) and its momentum initialization. The three
+muown kinds start from ``init_view``'s (W, g, r). ``_grad_for`` checks every
+kind's gradient; the muown kinds split it with ``ReparamView.split`` on the
+view rebuilt and checked from their state; ``_nesterov`` is Muon's direction
+step, used unchanged by ``muon``, ``muown`` and ``muown_fixed``; ``_adam`` is
+the moment update of ``adamw`` and of muown's magnitudes; ``_recompose``
+rebuilds the effective weight of the muown kinds, with the decoupled decay.
 
 Every step function is pure: it returns a fresh state and never mutates its
 inputs, which is what makes per-layer execution order irrelevant: ``step_all``
@@ -46,7 +46,7 @@ import numpy as np
 from .errors import NonFiniteError, StepAllError
 from .linalg import as_matrix, row_norms
 from .orthogonalize import DEFAULT_NS, NSConfig, descent_direction
-from .reparam import check_rows_nonzero, view_from_state
+from .reparam import check_rows_nonzero, init_view, view_from_state
 from .serialize import atomic_open, read_record, write_record
 
 if TYPE_CHECKING:
@@ -170,27 +170,20 @@ def _checked(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _init_magnitudes(w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(W, g, r) of a fresh muown-family state: g = r = ||W||_row."""
-    w = as_matrix(w)
-    r = check_rows_nonzero(row_norms(w))
-    return w.copy(), r.copy(), r
-
-
 def init_muown(w) -> MuownState:
-    w, g, r = _init_magnitudes(w)
-    return MuownState(param=w, g=g, r=r, M=np.zeros_like(w),
-                      m_g=np.zeros_like(g), v_g=np.zeros_like(g), t=0)
+    v = init_view(w)
+    return MuownState(param=v.R, g=v.g, r=v.r, M=np.zeros_like(v.R),
+                      m_g=np.zeros_like(v.g), v_g=np.zeros_like(v.g), t=0)
 
 
 def init_muown_fixed(w) -> MuownFixedState:
-    w, g, r = _init_magnitudes(w)
-    return MuownFixedState(param=w, g=g, r=r, M=np.zeros_like(w), t=0)
+    v = init_view(w)
+    return MuownFixedState(param=v.R, g=v.g, r=v.r, M=np.zeros_like(v.R), t=0)
 
 
 def init_muown_signum(w) -> MuownSignumState:
-    w, g, r = _init_magnitudes(w)
-    return MuownSignumState(param=w, g=g, r=r, M=np.zeros_like(w), m=np.zeros_like(g))
+    v = init_view(w)
+    return MuownSignumState(param=v.R, g=v.g, r=v.r, M=np.zeros_like(v.R), m=np.zeros_like(v.g))
 
 
 def init_muon(w) -> MuonState:

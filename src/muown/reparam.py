@@ -15,11 +15,12 @@ gradients with respect to ``g`` and ``R`` under this parameterization:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ZeroRowError
-from .linalg import as_matrix, as_vector, proj_radial, row_norms
+from .linalg import as_matrix, as_vector, row_norms
 
 # Rows at or below this norm are rejected outright: the decomposition is
 # undefined for zero rows and silent regularization would mask caller bugs.
@@ -38,16 +39,25 @@ def check_rows_nonzero(norms: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReparamView:
-    """One layer's decomposition: magnitudes g, row norms r, carrier R, unit-row D."""
+    """One layer's decomposition: magnitudes g, row norms r, carrier R, unit-row D.
+
+    Built by ``init_view`` or ``view_from_state``, which both reject zero g and
+    r entries, so neither ``D`` nor ``split`` checks them again."""
 
     g: np.ndarray
     r: np.ndarray
     R: np.ndarray
-    D: np.ndarray
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        """Diag(1/r) @ R, made on first use: a fresh optimizer state needs none."""
+        return self.R / self.r[:, None]
 
     def split(self, grad_w) -> tuple[np.ndarray, np.ndarray]:
-        """A raw gradient as ``(grad_g, grad_R)`` under this decomposition."""
-        return grad_g(grad_w, self.D), grad_R(grad_w, self.g, self.r, self.D)
+        """A raw gradient as ``(grad_g, grad_R)``, from one row-sum pass."""
+        grad_w = as_matrix(grad_w)
+        gg = grad_g(grad_w, self.D)
+        return gg, _tangent(grad_w, gg, self.g, self.r, self.D)
 
 
 def init_view(w) -> ReparamView:
@@ -58,8 +68,7 @@ def init_view(w) -> ReparamView:
     """
     w = as_matrix(w)
     r = check_rows_nonzero(row_norms(w))
-    d = w / r[:, None]
-    return ReparamView(g=r.copy(), r=r, R=w.copy(), D=d)
+    return ReparamView(g=r.copy(), r=r, R=w.copy())
 
 
 def view_from_state(w, g, r) -> ReparamView:
@@ -74,9 +83,7 @@ def view_from_state(w, g, r) -> ReparamView:
     r = as_vector(r)
     check_rows_nonzero(g)
     check_rows_nonzero(r)
-    big_r = (r / g)[:, None] * w
-    d = big_r / r[:, None]
-    return ReparamView(g=g, r=r, R=big_r, D=d)
+    return ReparamView(g=g, r=r, R=(r / g)[:, None] * w)
 
 
 def recompose(g, big_r) -> np.ndarray:
@@ -105,4 +112,10 @@ def grad_R(grad_w, g, r, d) -> np.ndarray:
     check_rows_nonzero(r)
     if g.shape != r.shape:
         raise ValueError("g and r must have equal length")
-    return (g / r)[:, None] * proj_radial(grad_w, d)
+    grad_w, d = as_matrix(grad_w), as_matrix(d)
+    return _tangent(grad_w, grad_g(grad_w, d), g, r, d)
+
+
+def _tangent(grad_w, gg, g, r, d) -> np.ndarray:
+    """Diag(g/r) @ (grad_w - Diag(gg) @ d): grad_R, given gg = grad_g(grad_w, d)."""
+    return (g / r)[:, None] * (grad_w - gg[:, None] * d)

@@ -16,7 +16,6 @@ from muown.diagnostics import (
 )
 from muown.harness import ExperimentConfig, preset_rate_check, run_preset
 from muown.linalg import (
-    frobenius_norm,
     nuclear_norm,
     row_norms,
     singular_values,
@@ -43,7 +42,13 @@ from muown.orthogonalize import NSConfig, newton_schulz, polar_exact
 from muown.reparam import grad_R, grad_g, init_view, recompose
 from muown.shardsim import make_plan, run_sharded
 
-from conftest import bitwise_equal, matrix_with_condition, orthonormal_rows
+from conftest import (
+    bitwise_equal,
+    frobenius_norm,
+    matrix_with_condition,
+    orthonormal_rows,
+    with_value,
+)
 
 
 @contextmanager
@@ -97,7 +102,7 @@ def _probe_model(rng, spec, params, batch, param_name, probes):
 
     def composite_loss(g_vec, r_mat):
         w = recompose(g_vec, r_mat)
-        loss, _ = loss_and_grad(spec, params.with_value(param_name, w), batch)
+        loss, _ = loss_and_grad(spec, with_value(params, param_name, w), batch)
         return loss
 
     _, grads = loss_and_grad(spec, params, batch)

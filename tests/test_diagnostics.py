@@ -9,10 +9,10 @@ from muown.diagnostics import (
     zeta_constants,
 )
 from muown.errors import ZeroRowError
-from muown.linalg import frobenius_norm, nuclear_norm, row_norms, singular_values
+from muown.linalg import nuclear_norm, row_norms, singular_values
 from muown.reparam import grad_R, grad_g, init_view
 
-from conftest import orthonormal_rows
+from conftest import frobenius_norm, orthonormal_rows
 
 
 class TestSpectralDecomposition:

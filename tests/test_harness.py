@@ -106,7 +106,10 @@ class TestConfig:
     def test_partial_dims_merge_over_default_kind(self, tmp_path):
         cfg = config_from_dict({"model": {"dims": {"hidden": 16}}, "steps": 2})
         assert cfg.model_dims == {"d_in": 6, "hidden": 16, "d_out": 4}
-        assert run_experiment(cfg).final_layers[0].state.param.shape == (16, 6)
+        shapes = []
+        run_experiment(cfg, probe=lambda t, before, after, loss, grads:
+                       shapes.append(after[0].state.param.shape))
+        assert shapes[-1] == (16, 6)
         rc = cli_main(["run", "single", "--set", "model.dims.hidden=16",
                        "--set", "steps=2", "--out", str(tmp_path / "x")])
         assert rc == 0

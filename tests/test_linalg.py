@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from muown.linalg import (
-    frobenius_norm,
     nuclear_norm,
-    proj_radial,
     row_norms,
     svd,
     vec_l1,
 )
 
-from conftest import orthonormal_rows
+from conftest import frobenius_norm, orthonormal_rows, proj_radial
 
 
 class TestRowNorms:

@@ -9,7 +9,6 @@ from muown.models import (
     Param,
     ParamSet,
     epoch_order,
-    finite_difference_grad,
     full_dataset_gradient,
     init_params,
     loss_and_grad,
@@ -20,7 +19,7 @@ from muown.models import (
 from muown.linalg import row_norms
 from muown.rng import SplitMix64, derive_seed
 
-from conftest import bitwise_equal
+from conftest import bitwise_equal, finite_difference_grad, with_value
 
 MLP_DIMS = {"d_in": 5, "hidden": 7, "d_out": 3}
 
@@ -73,7 +72,7 @@ class TestLogistic:
     def test_ln2_at_zero_weights(self, rng):
         spec, params, batches = make_model("logistic", {"features": 4}, seed=7,
                                            num_batches=2, batch_size=8)
-        zero = params.with_value("w", np.zeros((1, 4)))
+        zero = with_value(params, "w", np.zeros((1, 4)))
         loss, _ = loss_and_grad(spec, zero, batches[0])
         assert loss == pytest.approx(np.log(2.0), rel=1e-12)
 
@@ -90,10 +89,10 @@ class TestLogistic:
                                            num_batches=4, batch_size=32)
         w = params["w"].value.copy()
         for t in range(300):
-            loss, grads = loss_and_grad(spec, params.with_value("w", w),
+            loss, grads = loss_and_grad(spec, with_value(params, "w", w),
                                         batches[t % 4])
             w -= 0.01 * np.sign(grads[0])
-        final, _ = loss_and_grad(spec, params.with_value("w", w), batches[0])
+        final, _ = loss_and_grad(spec, with_value(params, "w", w), batches[0])
         assert final < 0.6 * np.log(2.0)
 
     def test_smoothness_bound_positive(self):
@@ -248,4 +247,4 @@ class TestParamSet:
     def test_with_value_shape_checked(self, rng):
         ps = ParamSet([Param("a", rng.standard_normal((2, 2)))])
         with pytest.raises(ValueError):
-            ps.with_value("a", np.zeros((3, 3)))
+            with_value(ps, "a", np.zeros((3, 3)))

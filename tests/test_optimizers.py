@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from muown import optimizers
+from muown import optimizers, reparam
 from muown.errors import NonFiniteError, StepAllError, ZeroRowError
 from muown.linalg import row_norms, singular_values
 from muown.optimizers import (
@@ -430,6 +430,26 @@ class TestDriver:
         layers = init_layers([("a", rng.standard_normal((2, 2)))])
         with pytest.raises(ValueError):
             step_all(layers, [], POLAR)
+
+
+class TestZeroRowChecks:
+    @pytest.mark.parametrize("kind", ["muown", "muown_fixed", "muown_signum"])
+    def test_a_step_checks_three_row_vectors(self, rng, kind, monkeypatch):
+        """g and r when the view is rebuilt, the new carrier's norms on recompose."""
+        layer = init_layers([("W", rng.standard_normal((5, 4)))], matrix_kind=kind)[0]
+        checked = []
+        real = reparam.check_rows_nonzero
+
+        def counted(norms):
+            checked.append(norms.shape)
+            return real(norms)
+
+        monkeypatch.setattr(reparam, "check_rows_nonzero", counted)
+        monkeypatch.setattr(optimizers, "check_rows_nonzero", counted)
+        for _ in range(2):
+            checked.clear()
+            layer = step_layer(layer, rng.standard_normal((5, 4)), HyperParams(eta=0.05))
+            assert checked == [(5,)] * 3
 
 
 class TestPurity:

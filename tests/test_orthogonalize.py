@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muown.errors import NonFiniteError
-from muown.linalg import frobenius_norm, nuclear_norm, singular_values
+from muown.linalg import nuclear_norm, singular_values
 from muown.models import loss_and_grad, make_model
 from muown.orthogonalize import (
     AGGRESSIVE_COEFFS,
@@ -17,7 +17,7 @@ from muown.orthogonalize import (
     polar_exact,
 )
 
-from conftest import bitwise_equal, matrix_with_condition, orthonormal_rows
+from conftest import bitwise_equal, frobenius_norm, matrix_with_condition, orthonormal_rows
 
 
 class TestPolarExact:

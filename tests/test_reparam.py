@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muown.errors import ZeroRowError
 from muown.linalg import row_norms
 from muown.reparam import grad_R, grad_g, init_view, recompose, view_from_state
 
-from conftest import bitwise_equal, orthonormal_rows
+from conftest import bitwise_equal, orthonormal_rows, proj_radial
 
 
 class TestInitView:
@@ -82,11 +84,35 @@ class TestGradTransforms:
         assert np.max(np.abs(np.sum(out * view.D, axis=1))) <= 1e-12 * np.max(np.abs(gw))
 
     def test_grad_R_reduces_to_projection_when_g_equals_r(self, rng):
-        from muown.linalg import proj_radial
         view = init_view(rng.standard_normal((4, 6)))  # g = r at init
         gw = rng.standard_normal((4, 6))
         assert bitwise_equal(grad_R(gw, view.g, view.r, view.D),
                              proj_radial(gw, view.D))
+
+
+def _layout(a, how):
+    if how == "F":
+        return np.asfortranarray(a)
+    if how == "strided":
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+        wide[:, ::2] = a
+        return wide[:, ::2]
+    return np.ascontiguousarray(a)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40), n=st.integers(1, 40),
+       how=st.sampled_from(["C", "F", "strided"]), scale=st.integers(-60, 60))
+def test_split_is_the_textbook_pair_bitwise(seed, m, n, how, scale):
+    """split = (grad_g(dW, D), Diag(g/r) Proj_D(dW)) to the bit, at any layout and scale."""
+    rng = np.random.default_rng(seed)
+    w = 2.0 ** scale * rng.standard_normal((m, n))
+    g = 2.0 ** scale * rng.standard_normal(m)  # signed
+    view = view_from_state(w, g, 2.0 ** -scale * rng.uniform(0.5, 2.0, m))
+    dw = _layout(2.0 ** scale * rng.standard_normal((m, n)), how)
+    gg, gr = view.split(dw)
+    assert bitwise_equal(gg, grad_g(dw, view.D))
+    assert bitwise_equal(gr, (view.g / view.r)[:, None] * proj_radial(dw, view.D))
 
 
 def _test_loss(a, w):
