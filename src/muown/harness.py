@@ -79,7 +79,7 @@ class ExperimentConfig:
             _require(value >= low, name, f"must be >= {low}, got {value}")
         _require(self.preset != "noise-compare" or self.num_batches >= 2, "num_batches",
                  f"noise-compare needs >= 2 batches to measure noise, got {self.num_batches}")
-        _require(self.model_kind in models.MODEL_KINDS, "model_kind",
+        _require(self.model_kind in models.MODEL_DIMS, "model_kind",
                  f"unknown kind {self.model_kind!r}")
         _require(self.optimizer_kind in INIT_FNS, "optimizer_kind",
                  f"unknown kind {self.optimizer_kind!r}")
@@ -97,7 +97,7 @@ class ExperimentConfig:
                  f"must be >= log2_min {self.sweep_log2_min}, got {self.sweep_log2_max}")
         _require(bool(self.rate_horizons) and min(self.rate_horizons) >= 1, "rate_horizons",
                  f"need one or more horizons >= 1, got {list(self.rate_horizons)}")
-        required = _MODEL_DIMS[self.model_kind]
+        required = models.MODEL_DIMS[self.model_kind]
         missing = [k for k in required if k not in self.model_dims]
         _require(not missing, "model_dims", f"missing {missing} for kind {self.model_kind!r}")
         for k, size in self.model_dims.items():
@@ -148,8 +148,6 @@ _SCHEMA = {
 }
 _PATH_OF = {target: path for path, (target, _) in _SCHEMA.items()}
 _SECTIONS = {path.rpartition(".")[0] for path in _SCHEMA} - {""}
-_MODEL_DIMS = {"quadratic": ("m", "n"), "logistic": ("features",),
-               "mlp2": ("d_in", "hidden", "d_out")}
 
 # Scalar JSON types: (accepts, description). A bool is not a number; an int is a float.
 _SCALARS = {
@@ -468,36 +466,33 @@ def preset_drift(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     bitwise-identical initial weights. Drift magnitudes for the other two
     runs are logged, not asserted.
     """
-    variants = [("muon", "muon"), ("muown_fixed", "muown_fixed"), ("muown", "muown")]
+    variants = ("muon", "muown_fixed", "muown")
     assertions = []
     inits: dict[str, list[np.ndarray]] = {}
     coherence_ok = True
     fixed_dev = 0.0
 
-    for label, kind in variants:
-        sub = os.path.join(out_dir, label) if out_dir else None
+    for kind in variants:
+        sub = os.path.join(out_dir, kind) if out_dir else None
         run_cfg = replace(cfg, optimizer_kind=kind,
                           hp=replace(cfg.hp, weight_decay=0.0))
-        g_ref: dict[int, np.ndarray] = {}
 
-        def probe(t, before, after, loss, grads, _g_ref=g_ref, _kind=kind):
+        def probe(t, before, after, loss, grads):
+            # called only by this iteration's run, so ``kind`` is still this run's
             nonlocal fixed_dev
             if t == 0:
-                inits[_kind] = [b.state.param.copy() for b in before]
-            if _kind != "muown_fixed":
+                inits[kind] = [b.state.param.copy() for b in before]
+            if kind != "muown_fixed":
                 return
-            for i, layer in enumerate(after):
-                if layer.state.param.ndim != 2:
-                    continue
-                if i not in _g_ref:
-                    _g_ref[i] = layer.state.g.copy()
-                dev = np.max(np.abs(row_norms(layer.state.param) - _g_ref[i])
-                             / _g_ref[i])
-                fixed_dev = max(fixed_dev, float(dev))
+            for w0, layer in zip(inits[kind], after):
+                if w0.ndim == 2:
+                    g0 = row_norms(w0)
+                    dev = np.max(np.abs(row_norms(layer.state.param) - g0) / g0)
+                    fixed_dev = max(fixed_dev, float(dev))
 
         log = run_experiment(run_cfg, sub, probe=probe)
         if "failure" in log.summary:
-            assertions.append(_completed(f"{label}_run_completed", log.summary))
+            assertions.append(_completed(f"{kind}_run_completed", log.summary))
         for row in log.rows:
             for ci, col in enumerate(log.columns):
                 if col.endswith(".coherence") and row[ci] < 1.0 - 1e-9:
@@ -558,8 +553,9 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
                 before, layers, step = layers, after, t + 1
                 losses.append(loss)
                 gg, gr = _view_of(before[0].state).split(grads[0])
-                dual = dual_norm(gg, gr)
-                bounds.append(-step_size * vec_l1(gg) - step_size * nuclear_norm(gr)
+                l1, nuc = vec_l1(gg), nuclear_norm(gr)
+                dual = l1 + nuc  # dual_norm(gg, gr), whose SVD the bound reuses
+                bounds.append(-step_size * l1 - step_size * nuc
                               + 0.5 * big_l * (step_size ** 2 + step_size ** 2))
                 duals.append(dual)
                 dual_sum += dual

@@ -27,7 +27,9 @@ from .errors import NonFiniteError
 from .linalg import row_norms, singular_values
 from .rng import SplitMix64, derive_seed
 
-MODEL_KINDS = ("quadratic", "logistic", "mlp2")
+# model kind -> the dimensions that ``init_params`` and ``synth_data`` read
+MODEL_DIMS = {"quadratic": ("m", "n"), "logistic": ("features",),
+              "mlp2": ("d_in", "hidden", "d_out")}
 
 # Per-row rejection floor for inits, as a fraction of the expected row norm;
 # keeps every initialized row safely nonzero.
@@ -88,7 +90,7 @@ class ModelSpec:
     target: Optional[np.ndarray] = None  # quadratic anchor W*
 
     def __post_init__(self):
-        if self.kind not in MODEL_KINDS:
+        if self.kind not in MODEL_DIMS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "quadratic" and not (self.smoothness and self.smoothness > 0):
             raise ValueError("quadratic models carry an exact positive smoothness constant")

@@ -34,11 +34,13 @@ may step heavy layers on several threads and still return the serial bits.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -87,19 +89,6 @@ class HyperParams:
             raise ValueError(f"gamma must be positive when given, got {self.gamma}")
         if self.backend not in ("polar", "ns"):
             raise ValueError(f"backend must be 'polar' or 'ns', got {self.backend!r}")
-
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["ns"] = {"steps": self.ns.steps, "coeffs": list(self.ns.coeffs)}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HyperParams":
-        d = dict(d)
-        ns = d.get("ns")
-        if isinstance(ns, dict):
-            d["ns"] = NSConfig(steps=int(ns["steps"]), coeffs=tuple(ns["coeffs"]))
-        return cls(**d)
 
 
 def rms_match_scale(shape) -> float:
@@ -455,45 +444,54 @@ def step_all(layers, grads, hp: HyperParams) -> list[Layer]:
 
 
 # --------------------------------------------------------------------------
-# checkpointing: one .mwn1 file of records per layer plus a JSON sidecar
+# checkpointing: every layer's records in one state.mwn1, named by manifest.json
 
 
 def save_checkpoint(dirpath, layers, hp: HyperParams) -> None:
+    """Write ``state.mwn1``, every layer's state tensors as records in field
+    order, then ``manifest.json``, which names them and holds their sha256."""
     os.makedirs(dirpath, exist_ok=True)
-    for i, layer in enumerate(layers):
-        stem = f"layer{i:03d}_{layer.name}"
-        tensors = [(f.name, getattr(layer.state, f.name))
-                   for f in fields(layer.state) if f.name != "t"]
-        with atomic_open(os.path.join(dirpath, stem + ".mwn1")) as fh:
-            for _, val in tensors:
-                write_record(fh, val)
-        sidecar = {
-            "kind": layer.kind,
-            "name": layer.name,
-            "t": layer.state.t,
-            "hyperparams": hp.to_dict(),
-            "tensors": [{"name": nm, "ndim": int(v.ndim)} for nm, v in tensors],
-        }
-        with atomic_open(os.path.join(dirpath, stem + ".json"), "w") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
+    buf = io.BytesIO()
+    specs = []
+    for layer in layers:
+        tensors = []
+        for f in fields(layer.state):
+            if f.name != "t":
+                val = getattr(layer.state, f.name)
+                write_record(buf, val)
+                tensors.append([f.name, val.ndim])
+        specs.append({"name": layer.name, "kind": layer.kind, "t": layer.state.t,
+                      "tensors": tensors})
+    records = buf.getvalue()
+    manifest = {"hyperparams": asdict(hp), "layers": specs,
+                "sha256": hashlib.sha256(records).hexdigest()}
+    with atomic_open(os.path.join(dirpath, "state.mwn1")) as fh:
+        fh.write(records)
+    with atomic_open(os.path.join(dirpath, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
 
 
 def load_checkpoint(dirpath) -> tuple[list[Layer], dict]:
-    stems = sorted(
-        f[:-5] for f in os.listdir(dirpath)
-        if f.endswith(".json") and f.startswith("layer")
-    )
-    layers = []
-    hp_dict: dict = {}
-    for stem in stems:
-        with open(os.path.join(dirpath, stem + ".json")) as fh:
-            meta = json.load(fh)
-        hp_dict = meta["hyperparams"]
-        values = {}
-        with open(os.path.join(dirpath, stem + ".mwn1"), "rb") as fh:
-            for spec in meta["tensors"]:
-                rec = read_record(fh)
-                values[spec["name"]] = rec.ravel() if spec["ndim"] == 1 else rec
-        state = _KINDS[meta["kind"]][0](t=meta["t"], **values)
-        layers.append(Layer(name=meta["name"], kind=meta["kind"], state=state))
-    return layers, hp_dict
+    """(layers, hyperparameters dict) of a checkpoint; ValueError unless one
+    ``save_checkpoint`` wrote both of its files whole."""
+    with open(os.path.join(dirpath, "state.mwn1"), "rb") as fh:
+        records = fh.read()
+    try:
+        with open(os.path.join(dirpath, "manifest.json")) as fh:
+            manifest = json.load(fh)
+        if hashlib.sha256(records).hexdigest() != manifest["sha256"]:
+            raise ValueError("state.mwn1 does not match the manifest's sha256")
+        buf = io.BytesIO(records)
+        layers = []
+        for spec in manifest["layers"]:
+            values = {}
+            for name, ndim in spec["tensors"]:
+                rec = read_record(buf)
+                values[name] = rec.ravel() if ndim == 1 else rec
+            state = _KINDS[spec["kind"]][0](t=spec["t"], **values)
+            layers.append(Layer(name=spec["name"], kind=spec["kind"], state=state))
+        if buf.read(1):
+            raise ValueError("bytes after the last record")
+        return layers, manifest["hyperparams"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint {dirpath} is torn or malformed: {exc!r}") from exc

@@ -3,8 +3,8 @@
 One record is: magic b"MWN1", then rows and cols as 64-bit little-endian
 unsigned integers, then rows*cols IEEE-754 doubles, little-endian, row-major.
 Files may hold several consecutive records; vectors are stored as len x 1
-records and reshaped back by whoever owns the metadata (sidecars/manifests
-record each tensor's ndim).
+records and reshaped back by whoever owns the metadata (a checkpoint's
+manifest records each tensor's ndim).
 """
 
 from __future__ import annotations

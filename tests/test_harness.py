@@ -202,6 +202,19 @@ class TestPresets:
         # Delta1, then one loss per step plus the loss after each horizon's last step
         assert counts == {"loss_and_grad": 1 + (2 + 3) + 2, "permutation": 0}
 
+    def test_rate_check_takes_one_svd_per_step(self, monkeypatch):
+        calls = []
+        inner = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        harness.preset_rate_check(ExperimentConfig(preset="rate-check", rate_horizons=(5,)))
+        # the dual norm's nuclear norm, which the step's descent bound reuses
+        assert len(calls) == 5
+
     def test_noise_compare_takes_each_batch_gradient_once(self, monkeypatch):
         calls = []
         for owner in (harness, models):  # _train's and full_dataset_gradient's

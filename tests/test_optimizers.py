@@ -1,7 +1,12 @@
+import dataclasses
+import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from muown import optimizers, reparam
 from muown.errors import NonFiniteError, StepAllError, ZeroRowError
@@ -498,7 +503,7 @@ class TestCheckpoint:
         layers = step_all(layers, grads, hp)
         save_checkpoint(tmp_path, layers, hp)
         back, hp_dict = load_checkpoint(tmp_path)
-        assert HyperParams.from_dict(hp_dict) == hp
+        assert hp_dict == json.loads(json.dumps(dataclasses.asdict(hp)))
         assert [l.kind for l in back] == [l.kind for l in layers]
         for a, b in zip(layers, back):
             assert a.state.t == b.state.t
@@ -540,3 +545,112 @@ class TestCheckpoint:
                 save_checkpoint(path, stepped, hp)
         assert os.listdir(fresh) == []
         assert {f: (old / f).read_bytes() for f in os.listdir(old)} == before
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(optimizers.INIT_FNS)), m=st.integers(1, 5),
+           n=st.integers(1, 5), steps=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    @example(kind="muown_signum", m=3, n=3, steps=0, seed=0)  # the fresh zero momenta
+    def test_round_trip_is_bitwise_for_every_kind(self, kind, m, n, steps, seed):
+        # a 2-D layer of ``kind`` and a 1-D layer of adamw or signum
+        layers, hp = _stepped_checkpoint_layers(kind, m, n, steps, seed)
+        with tempfile.TemporaryDirectory() as d:
+            save_checkpoint(d, layers, hp)
+            back, hp_dict = load_checkpoint(d)
+        assert hp_dict == json.loads(json.dumps(dataclasses.asdict(hp)))
+        assert [(l.name, l.kind, type(l.state)) for l in back] == \
+            [(l.name, l.kind, type(l.state)) for l in layers]
+        for a, b in zip(layers, back):
+            assert b.state.t == a.state.t == steps
+            for f in dataclasses.fields(a.state):
+                if f.name != "t":
+                    va, vb = getattr(a.state, f.name), getattr(b.state, f.name)
+                    assert bitwise_equal(va, vb), (a.name, f.name)
+
+    def test_failed_manifest_write_leaves_a_torn_checkpoint_that_load_rejects(
+            self, tmp_path, monkeypatch):
+        layers, hp = _stepped_checkpoint_layers("muown", 4, 3, 0, 1)
+        save_checkpoint(tmp_path, layers, hp)
+        stepped = _stepped_checkpoint_layers("muown", 4, 3, 1, 1)[0]
+        inner = optimizers.atomic_open
+
+        def failing(path, mode="wb"):
+            if os.path.basename(path) == "manifest.json":
+                raise OSError("disk full")
+            return inner(path, mode)
+
+        monkeypatch.setattr(optimizers, "atomic_open", failing)
+        with pytest.raises(OSError):
+            save_checkpoint(tmp_path, stepped, hp)
+        # step 1's records beside step 0's manifest
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(tmp_path)
+        assert str(tmp_path) in str(err.value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_any_flipped_byte_or_truncation_of_the_records_is_rejected(self, data):
+        layers, hp = _stepped_checkpoint_layers("muown", 3, 2, 1, 7)
+        with tempfile.TemporaryDirectory() as d:
+            save_checkpoint(d, layers, hp)
+            path = os.path.join(d, "state.mwn1")
+            with open(path, "rb") as fh:
+                raw = bytearray(fh.read())
+            if data.draw(st.booleans(), label="flip"):
+                raw[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= \
+                    data.draw(st.integers(1, 255), label="mask")
+            else:
+                del raw[data.draw(st.integers(0, len(raw) - 1), label="keep"):]
+            with open(path, "wb") as fh:
+                fh.write(raw)
+            with pytest.raises(ValueError):
+                load_checkpoint(d)
+
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda m: m["layers"][0].update(kind="adam"), id="unknown kind"),
+        pytest.param(lambda m: m["layers"][0]["tensors"][1].__setitem__(0, "m"),
+                     id="foreign tensor name"),
+        pytest.param(lambda m: m["layers"][0]["tensors"].pop(), id="missing tensor"),
+        pytest.param(lambda m: m["layers"].pop(), id="records left over"),
+        pytest.param(lambda m: m["layers"][1].pop("t"), id="missing t"),
+        pytest.param(lambda m: m.pop("sha256"), id="missing sha256"),
+        pytest.param(lambda m: m.pop("hyperparams"), id="missing hyperparams"),
+        pytest.param(lambda m: m.__setitem__("layers", 3), id="layers not a list"),
+    ])
+    def test_malformed_manifest_is_rejected(self, tmp_path, edit):
+        layers, hp = _stepped_checkpoint_layers("muown", 3, 2, 1, 7)
+        save_checkpoint(tmp_path, layers, hp)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        edit(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(tmp_path)
+        assert str(tmp_path) in str(err.value)
+
+    def test_manifest_that_is_not_json_is_rejected(self, tmp_path):
+        layers, hp = _stepped_checkpoint_layers("muon", 3, 2, 0, 7)
+        save_checkpoint(tmp_path, layers, hp)
+        (tmp_path / "manifest.json").write_text("{")
+        with pytest.raises(ValueError):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("name", ["state.mwn1", "manifest.json"])
+    def test_missing_file_raises_file_not_found(self, tmp_path, name):
+        layers, hp = _stepped_checkpoint_layers("muon", 3, 2, 0, 7)
+        save_checkpoint(tmp_path, layers, hp)
+        (tmp_path / name).unlink()
+        with pytest.raises(FileNotFoundError):
+            load_checkpoint(tmp_path)
+
+
+def _stepped_checkpoint_layers(kind, m, n, steps, seed):
+    """A (m, n) layer of ``kind`` and a length-m vector layer, stepped ``steps``
+    times on gaussian gradients, and the hyperparameters that stepped them."""
+    rng = np.random.default_rng(seed)
+    hp = HyperParams(eta=0.01, weight_decay=0.0 if kind == "muown_fixed" else 0.01,
+                     backend="polar", gamma=0.02)
+    layers = init_layers([("W", rng.standard_normal((m, n))), ("b", rng.standard_normal(m))],
+                         matrix_kind=kind)
+    for _ in range(steps):
+        layers = step_all(layers, [rng.standard_normal(l.state.param.shape) for l in layers],
+                          hp)
+    return layers, hp
