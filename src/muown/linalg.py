@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 
 def as_matrix(a) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
@@ -23,6 +25,12 @@ def as_vector(a) -> np.ndarray:
     if a.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {a.shape}")
     return a
+
+
+def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise NonFiniteError(f"{what} contains NaN/Inf")
+    return arr
 
 
 def row_norms(a) -> np.ndarray:

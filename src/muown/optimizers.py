@@ -25,7 +25,7 @@ kind's gradient; the muown kinds split it with ``ReparamView.split`` on the
 view rebuilt and checked from their state; ``_nesterov`` is Muon's direction
 step, used unchanged by ``muon``, ``muown`` and ``muown_fixed``; ``_adam`` is
 the moment update of ``adamw`` and of muown's magnitudes; ``_recompose``
-rebuilds the effective weight of the muown kinds, with the decoupled decay.
+adds the decoupled decay to ``reparam.recompose``, the muown kinds' rebuild.
 
 Every step function is pure: it returns a fresh state and never mutates its
 inputs, which is what makes per-layer execution order irrelevant: ``step_all``
@@ -45,10 +45,10 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import NonFiniteError, StepAllError
-from .linalg import as_matrix, row_norms
+from .errors import StepAllError
+from .linalg import as_matrix, check_finite, row_norms
 from .orthogonalize import DEFAULT_NS, NSConfig, descent_direction
-from .reparam import check_rows_nonzero, init_view, view_from_state
+from .reparam import check_rows_nonzero, init_view, recompose, view_from_state
 from .serialize import atomic_open, read_record, write_record
 
 if TYPE_CHECKING:
@@ -153,12 +153,6 @@ class SignumState:
     t: int = 0
 
 
-def _checked(arr: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise NonFiniteError(f"{what} contains NaN/Inf")
-    return arr
-
-
 def init_muown(w) -> MuownState:
     v = init_view(w)
     return MuownState(param=v.R, g=v.g, r=v.r, M=np.zeros_like(v.R),
@@ -196,7 +190,7 @@ def init_signum(p) -> SignumState:
 
 def _grad_for(state, grad) -> np.ndarray:
     """The gradient as float64, checked finite and shaped like the parameter."""
-    grad = _checked(np.asarray(grad, dtype=np.float64), "gradient")
+    grad = check_finite(np.asarray(grad, dtype=np.float64), "gradient")
     if grad.shape != state.param.shape:
         raise ValueError(f"gradient shape {grad.shape} != param shape {state.param.shape}")
     return grad
@@ -220,17 +214,16 @@ def _adam(m, v, grad, t: int, hp: HyperParams):
 
 
 def _recompose(state, g, R, hp: HyperParams):
-    """(W, g, r) with W = Diag(g / ||R||_row) R minus the decoupled decay of the old W.
+    """(W, g, r): ``recompose(g, R)`` minus the decoupled decay of the old W.
 
     With decay, g is refreshed to the new row norms so the |g| = ||W||_row
     invariant survives.
     """
-    r = check_rows_nonzero(_checked(row_norms(R), "carrier row norms"))
-    w_new = (g / r)[:, None] * R
+    w_new, r = recompose(g, R)
     if hp.weight_decay != 0.0:
         w_new = w_new - (hp.eta * hp.weight_decay) * state.param
-        g = check_rows_nonzero(_checked(row_norms(w_new), "updated row norms"))
-    return _checked(w_new, "updated param"), g, r
+        g = check_rows_nonzero(check_finite(row_norms(w_new), "updated row norms"))
+    return check_finite(w_new, "updated param"), g, r
 
 
 def muown_step(state: MuownState, grad_w, hp: HyperParams) -> MuownState:
@@ -288,7 +281,7 @@ def muon_step(state: MuonState, grad_w, hp: HyperParams) -> MuonState:
     grad_w = _grad_for(state, grad_w)
     M, step = _nesterov(state.M, grad_w, state.param.shape, hp)
     w_new = state.param + step - (hp.eta * hp.weight_decay) * state.param
-    return MuonState(param=_checked(w_new, "updated param"), M=M, t=state.t + 1)
+    return MuonState(param=check_finite(w_new, "updated param"), M=M, t=state.t + 1)
 
 
 def adamw_step(state: AdamWState, grad, hp: HyperParams) -> AdamWState:
@@ -297,7 +290,7 @@ def adamw_step(state: AdamWState, grad, hp: HyperParams) -> AdamWState:
     t = state.t + 1
     m, v, delta = _adam(state.m, state.v, grad, t, hp)
     p = state.param - delta - (hp.eta * hp.weight_decay) * state.param
-    return AdamWState(param=_checked(p, "updated param"), m=m, v=v, t=t)
+    return AdamWState(param=check_finite(p, "updated param"), m=m, v=v, t=t)
 
 
 def signum_step(state: SignumState, grad, hp: HyperParams) -> SignumState:
@@ -305,7 +298,7 @@ def signum_step(state: SignumState, grad, hp: HyperParams) -> SignumState:
     grad = _grad_for(state, grad)
     m = hp.beta1 * state.m + (1.0 - hp.beta1) * grad
     p = state.param - hp.eta * np.sign(m) - (hp.eta * hp.weight_decay) * state.param
-    return SignumState(param=_checked(p, "updated param"), m=m, t=state.t + 1)
+    return SignumState(param=check_finite(p, "updated param"), m=m, t=state.t + 1)
 
 
 # --------------------------------------------------------------------------
@@ -447,9 +440,17 @@ def step_all(layers, grads, hp: HyperParams) -> list[Layer]:
 # checkpointing: every layer's records in one state.mwn1, named by manifest.json
 
 
+def _digest(records: bytes, manifest: dict) -> str:
+    """sha256 of the records, then of the manifest's hyperparameters and layers."""
+    h = hashlib.sha256(records)
+    h.update(json.dumps({"hyperparams": manifest["hyperparams"],
+                         "layers": manifest["layers"]}, sort_keys=True).encode())
+    return h.hexdigest()
+
+
 def save_checkpoint(dirpath, layers, hp: HyperParams) -> None:
     """Write ``state.mwn1``, every layer's state tensors as records in field
-    order, then ``manifest.json``, which names them and holds their sha256."""
+    order, then ``manifest.json``, which names them and holds ``_digest``."""
     os.makedirs(dirpath, exist_ok=True)
     buf = io.BytesIO()
     specs = []
@@ -463,8 +464,8 @@ def save_checkpoint(dirpath, layers, hp: HyperParams) -> None:
         specs.append({"name": layer.name, "kind": layer.kind, "t": layer.state.t,
                       "tensors": tensors})
     records = buf.getvalue()
-    manifest = {"hyperparams": asdict(hp), "layers": specs,
-                "sha256": hashlib.sha256(records).hexdigest()}
+    manifest = {"hyperparams": asdict(hp), "layers": specs}
+    manifest["sha256"] = _digest(records, manifest)
     with atomic_open(os.path.join(dirpath, "state.mwn1")) as fh:
         fh.write(records)
     with atomic_open(os.path.join(dirpath, "manifest.json"), "w") as fh:
@@ -479,8 +480,8 @@ def load_checkpoint(dirpath) -> tuple[list[Layer], dict]:
     try:
         with open(os.path.join(dirpath, "manifest.json")) as fh:
             manifest = json.load(fh)
-        if hashlib.sha256(records).hexdigest() != manifest["sha256"]:
-            raise ValueError("state.mwn1 does not match the manifest's sha256")
+        if _digest(records, manifest) != manifest["sha256"]:
+            raise ValueError("state.mwn1 and the manifest do not match its sha256")
         buf = io.BytesIO(records)
         layers = []
         for spec in manifest["layers"]:

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ZeroRowError
-from .linalg import as_matrix, as_vector, row_norms
+from .linalg import as_matrix, as_vector, check_finite, row_norms
 
 # Rows at or below this norm are rejected outright: the decomposition is
 # undefined for zero rows and silent regularization would mask caller bugs.
@@ -86,14 +86,15 @@ def view_from_state(w, g, r) -> ReparamView:
     return ReparamView(g=g, r=r, R=(r / g)[:, None] * w)
 
 
-def recompose(g, big_r) -> np.ndarray:
-    """Effective weight Diag(g / ||R||_row) @ R."""
+def recompose(g, big_r) -> tuple[np.ndarray, np.ndarray]:
+    """(W, r): W = Diag(g / r) @ R with r = ||R||_row. NonFiniteError if an r is
+    not finite (its row's squared norm overflows), then ZeroRowError."""
     g = as_vector(g)
     big_r = as_matrix(big_r)
     if g.shape[0] != big_r.shape[0]:
         raise ValueError(f"g length {g.shape[0]} != R rows {big_r.shape[0]}")
-    r = check_rows_nonzero(row_norms(big_r))
-    return (g / r)[:, None] * big_r
+    r = check_rows_nonzero(check_finite(row_norms(big_r), "carrier row norms"))
+    return (g / r)[:, None] * big_r, r
 
 
 def grad_g(grad_w, d) -> np.ndarray:

@@ -101,7 +101,7 @@ def _probe_model(rng, spec, params, batch, param_name, probes):
     view = init_view(value)
 
     def composite_loss(g_vec, r_mat):
-        w = recompose(g_vec, r_mat)
+        w = recompose(g_vec, r_mat)[0]
         loss, _ = loss_and_grad(spec, with_value(params, param_name, w), batch)
         return loss
 

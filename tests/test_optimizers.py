@@ -626,6 +626,24 @@ class TestCheckpoint:
             load_checkpoint(tmp_path)
         assert str(tmp_path) in str(err.value)
 
+    @pytest.mark.parametrize("edit", [
+        pytest.param(lambda m: m["layers"][0]["tensors"][0].__setitem__(1, 1), id="ndim"),
+        pytest.param(lambda m: m["layers"][0].update(t=7), id="t"),
+        pytest.param(lambda m: m["layers"][1].update(kind="signum"), id="kind"),
+        pytest.param(lambda m: m["layers"][0].update(name="V"), id="name"),
+        pytest.param(lambda m: m["hyperparams"].update(eta=0.5), id="hyperparameter"),
+    ])
+    def test_edited_manifest_fails_the_digest(self, tmp_path, edit):
+        # a muon 3x2 layer and an adamw vector; the digest rejects each edit first
+        layers, hp = _stepped_checkpoint_layers("muon", 3, 2, 1, 7)
+        save_checkpoint(tmp_path, layers, hp)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        edit(manifest)
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="sha256") as err:
+            load_checkpoint(tmp_path)
+        assert str(tmp_path) in str(err.value)
+
     def test_manifest_that_is_not_json_is_rejected(self, tmp_path):
         layers, hp = _stepped_checkpoint_layers("muon", 3, 2, 0, 7)
         save_checkpoint(tmp_path, layers, hp)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from muown.errors import ZeroRowError
+from muown.errors import NonFiniteError, ZeroRowError
 from muown.linalg import row_norms
-from muown.reparam import grad_R, grad_g, init_view, recompose, view_from_state
+from muown.reparam import EPS_ROW, grad_R, grad_g, init_view, recompose, view_from_state
 
 from conftest import bitwise_equal, orthonormal_rows, proj_radial
 
@@ -24,7 +24,7 @@ class TestInitView:
     def test_round_trip_bitwise(self, rng):
         w = rng.standard_normal((4, 6))
         view = init_view(w)
-        assert bitwise_equal(recompose(view.g, view.R), w)
+        assert bitwise_equal(recompose(view.g, view.R)[0], w)
 
     def test_unit_rows(self, rng):
         view = init_view(rng.standard_normal((5, 3)))
@@ -35,27 +35,58 @@ class TestInitView:
 class TestRecompose:
     def test_identity_case(self, rng):
         r_mat = rng.standard_normal((3, 4))
-        assert bitwise_equal(recompose(row_norms(r_mat), r_mat), r_mat)
+        assert bitwise_equal(recompose(row_norms(r_mat), r_mat)[0], r_mat)
 
     def test_doubling(self, rng):
         r_mat = rng.standard_normal((3, 4))
-        out = recompose(2.0 * row_norms(r_mat), r_mat)
+        out = recompose(2.0 * row_norms(r_mat), r_mat)[0]
         assert np.allclose(out, 2.0 * r_mat, rtol=1e-15)
 
     def test_row_norms_match_magnitudes(self, rng):
         g = rng.standard_normal(5) * 3.0
         r_mat = rng.standard_normal((5, 7))
-        out = recompose(g, r_mat)
+        out = recompose(g, r_mat)[0]
         assert np.allclose(row_norms(out), np.abs(g), rtol=1e-12)
 
     def test_negative_magnitude_flips_row(self):
         r_mat = np.array([[1.0, 0.0]])
-        out = recompose(np.array([-2.0]), r_mat)
+        out = recompose(np.array([-2.0]), r_mat)[0]
         assert np.allclose(out, [[-2.0, 0.0]])
 
     def test_zero_row_rejected(self):
         with pytest.raises(ZeroRowError):
             recompose(np.ones(2), np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 12), n=st.integers(1, 12), k=st.integers(-400, 400),
+           kg=st.integers(-400, 400), seed=st.integers(0, 2**32 - 1),
+           plant=st.sampled_from([None, "zero", "overflow"]), row=st.integers(0, 11))
+    @example(m=4, n=3, k=0, kg=0, seed=0, plant="overflow", row=2)
+    @example(m=4, n=3, k=0, kg=0, seed=0, plant="zero", row=3)
+    def test_is_the_straight_line_formula(self, m, n, k, kg, seed, plant, row):
+        """(W, r) bit for bit as written out below; a finite row whose squared norm
+        overflows raises NonFiniteError, then a row at or below EPS_ROW ZeroRowError."""
+        rng = np.random.default_rng(seed)
+        big_r = np.ldexp(rng.standard_normal((m, n)), k)
+        g = np.ldexp(rng.standard_normal(m), kg)
+        row %= m
+        if plant == "zero":
+            big_r[row] = 0.0
+        elif plant == "overflow":
+            big_r[row] = 2.0 ** 600
+        with np.errstate(all="ignore"):
+            r0 = np.sqrt((big_r * big_r).sum(axis=1))
+            if not np.isfinite(r0).all():
+                with pytest.raises(NonFiniteError, match="carrier row norms"):
+                    recompose(g, big_r)
+            elif (r0 <= EPS_ROW).any():
+                with pytest.raises(ZeroRowError) as err:
+                    recompose(g, big_r)
+                assert err.value.row == int(np.argmax(r0 <= EPS_ROW))
+            else:
+                w, r = recompose(g, big_r)
+                assert bitwise_equal(r, r0)
+                assert bitwise_equal(w, (g / r0)[:, None] * big_r)
 
 
 class TestGradTransforms:
@@ -130,12 +161,12 @@ class TestChainRule:
             m, n = w.shape
             view = init_view(w)
             a = rng.standard_normal((m, n))
-            gg, gr = view.split(a + recompose(view.g, view.R))
+            gg, gr = view.split(a + recompose(view.g, view.R)[0])
             dg = rng.standard_normal(m)
             dr = rng.standard_normal((m, n))
             analytic = float(gg @ dg + np.sum(gr * dr))
-            lp = _test_loss(a, recompose(view.g + h * dg, view.R + h * dr))
-            lm = _test_loss(a, recompose(view.g - h * dg, view.R - h * dr))
+            lp = _test_loss(a, recompose(view.g + h * dg, view.R + h * dr)[0])
+            lm = _test_loss(a, recompose(view.g - h * dg, view.R - h * dr)[0])
             fd = (lp - lm) / (2.0 * h)
             assert fd == pytest.approx(analytic, rel=1e-5), trial
 
@@ -156,14 +187,14 @@ class TestChainRule:
         w = rng.standard_normal((3, 2)) + 0.2
         view = init_view(w)
         a = rng.standard_normal((3, 2))
-        grad_w = a + recompose(view.g, view.R)
+        grad_w = a + recompose(view.g, view.R)[0]
         gr = grad_R(grad_w, view.g, view.r, view.D)
         for i in range(3):
             for j in range(2):
                 e = np.zeros((3, 2))
                 e[i, j] = 1.0
-                lp = _test_loss(a, recompose(view.g, view.R + h * e))
-                lm = _test_loss(a, recompose(view.g, view.R - h * e))
+                lp = _test_loss(a, recompose(view.g, view.R + h * e)[0])
+                lm = _test_loss(a, recompose(view.g, view.R - h * e)[0])
                 fd = (lp - lm) / (2.0 * h)
                 assert fd == pytest.approx(gr[i, j], rel=1e-6, abs=1e-9)
 
@@ -172,7 +203,7 @@ class TestScaleDisjointness:
     def test_uniform_rescale_moves_only_magnitudes(self, rng):
         w = rng.standard_normal((4, 5))
         view = init_view(w)
-        scaled = recompose(3.0 * view.g, view.R)
+        scaled = recompose(3.0 * view.g, view.R)[0]
         assert np.allclose(scaled, 3.0 * w, rtol=1e-14)
 
     def test_view_from_state_uses_cached_row_norms(self, rng):
