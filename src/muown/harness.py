@@ -361,12 +361,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
         final_loss, _ = loss_and_grad(spec, _params_as_set(layers),
                                       _first_batch(batches, cfg.seed))
         summary["final_loss"] = float(final_loss)
+        # The last step is always logged, so its row holds each final spec_norm.
+        last = dict(zip(columns, rows[-1]))
         summary["layers"] = {
-            layer.name: {
-                "kind": layer.kind,
-                "spec_norm": float(singular_values(layer.state.param)[0])
-                if layer.state.param.ndim == 2 else None,
-            }
+            layer.name: {"kind": layer.kind, "spec_norm": last.get(f"{layer.name}.spec_norm")}
             for layer in layers
         }
     return RunLog(columns=columns, rows=rows, summary=summary,
@@ -469,6 +467,7 @@ def preset_drift(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     variants = ("muon", "muown_fixed", "muown")
     assertions = []
     inits: dict[str, list[np.ndarray]] = {}
+    init_norms: dict[str, list[Optional[np.ndarray]]] = {}
     coherence_ok = True
     fixed_dev = 0.0
 
@@ -482,11 +481,12 @@ def preset_drift(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
             nonlocal fixed_dev
             if t == 0:
                 inits[kind] = [b.state.param.copy() for b in before]
+                init_norms[kind] = [row_norms(w) if w.ndim == 2 else None
+                                    for w in inits[kind]]
             if kind != "muown_fixed":
                 return
-            for w0, layer in zip(inits[kind], after):
-                if w0.ndim == 2:
-                    g0 = row_norms(w0)
+            for g0, layer in zip(init_norms[kind], after):
+                if g0 is not None:
                     dev = np.max(np.abs(row_norms(layer.state.param) - g0) / g0)
                     fixed_dev = max(fixed_dev, float(dev))
 

@@ -20,13 +20,14 @@ generator is counter-based, so output i of a block is mix(state + i * gamma)
 mod 2^64, computed in numpy uint64 arithmetic on uint64 operands only (a
 signed integer operand makes numpy 1.x promote uint64 to float64). Block
 uniforms repeat the scalar float steps exactly. Block gaussians map
-``math.log`` and ``math.cos`` over the block rather than ``np.log`` and
-``np.cos``: numpy's vectorized transcendentals may round differently from the
-C library (``np.log`` can differ from ``math.log`` in the last bit on a
-fraction of a percent of inputs), while ``np.sqrt`` and the arithmetic are
-correctly rounded either way. A chunk of gaussians whose u draws hold an
-exact 0.0, which the scalar path rejects and redraws, rewinds the state to
-the chunk start and reruns that chunk through ``gaussian``.
+``math.log`` over the block: ``np.log`` takes a SIMD log that differs from
+the C library's in the last bit on about 0.35% of uniforms (AVX-512). They
+take ``np.cos``, whose float64 loop calls the C library's ``cos``
+(``tests/test_rng.py::test_np_cos_is_the_c_library_cos`` pins this; if it
+fails, map ``math.cos`` again). ``np.sqrt`` and the arithmetic are correctly
+rounded either way. A chunk of gaussians whose u draws hold an exact 0.0,
+which the scalar path rejects and redraws, rewinds the state to the chunk
+start and reruns that chunk through ``gaussian``.
 """
 
 from __future__ import annotations
@@ -103,9 +104,7 @@ class SplitMix64:
                 continue
             # A memoryview yields Python floats one at a time, without a list.
             log_u = np.fromiter(map(math.log, memoryview(u)), np.float64, part.size)
-            cos_v = np.fromiter(map(math.cos, memoryview(2.0 * math.pi * v)),
-                                np.float64, part.size)
-            np.multiply(np.sqrt(-2.0 * log_u), cos_v, out=part)
+            np.multiply(np.sqrt(-2.0 * log_u), np.cos(2.0 * math.pi * v), out=part)
         return out.reshape(shape)
 
     def uniform_array(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:

@@ -1,5 +1,7 @@
 """The block-drawn array methods of SplitMix64 against the scalar reference."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,19 @@ def test_gaussian_array_matches_scalar(seed, shape):
     block, ref = SplitMix64(seed), SplitMix64(seed)
     assert bitwise_equal(block.gaussian_array(shape), scalar_gaussians(ref, shape))
     assert block.next_u64() == ref.next_u64()
+
+
+def test_np_cos_is_the_c_library_cos():
+    """``gaussian_array`` takes its cosines from ``np.cos``, on the scalar path's angles."""
+    edges = [0.0, 2.0**-53, 0.25, 0.5, 0.75, 1.0 - 2.0**-53]
+    v = np.concatenate([edges, SplitMix64(7).uniform_array((2**20,))])
+    angles = 2.0 * math.pi * v
+    mapped = np.fromiter(map(math.cos, memoryview(angles)), np.float64, v.size)
+    differ = np.flatnonzero(np.cos(angles).view(np.uint64) != mapped.view(np.uint64))
+    assert differ.size == 0, (
+        f"np.cos differs from math.cos on {differ.size} of {v.size} angles "
+        f"(first v = {v[differ[0]]!r}): this numpy's float64 cos is not the C "
+        "library's, so gaussian_array must map math.cos again")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 0xDEADBEEF, 2**64 - 1])
