@@ -35,7 +35,6 @@ class DecompReport:
     coherence: float          # lambda_max(P C P)
     spectral_sq_direct: float # ||W||^2 straight from the SVD
     residual: float           # relative gap between the two sides
-    negative_g_count: int
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,8 @@ class NoiseReport:
 def spectral_decomposition(w, g=None, sigma=None) -> DecompReport:
     """Split ||W||^2 into the row-scale and coherence factors.
 
-    ``g`` defaults to the row norms of ``w``; passing the (possibly signed)
-    magnitude vector from an optimizer state instead surfaces sign flips via
-    ``negative_g_count`` without changing either factor. ``sigma``, the
+    ``g`` defaults to the row norms of ``w``; the (possibly signed) magnitude
+    vector of an optimizer state gives the same factors. ``sigma``, the
     singular values of ``w`` (descending) when the caller already has them,
     saves the SVD of ``w``.
     """
@@ -84,7 +82,6 @@ def spectral_decomposition(w, g=None, sigma=None) -> DecompReport:
         coherence=coherence,
         spectral_sq_direct=direct,
         residual=residual,
-        negative_g_count=int(np.sum(g < 0)),
     )
 
 

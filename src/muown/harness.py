@@ -310,7 +310,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     ``probe(t, layers_before, layers_after, loss, grads)`` runs after every
     step when given; it must not mutate its arguments. A run that fails stops
     at the failing step and records it as ``summary["failure"]`` (see
-    ``_failure``) in place of the final loss.
+    ``_run``) in place of the final loss.
 
     The steps are trained by ``_train`` in a ``_Child``: with two or more
     workers (``optimizers._workers``), a forked process trains ahead and sends
@@ -328,25 +328,24 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     for name in matrix_layers:
         columns += [f"{name}.{metric}" for metric in _LAYER_METRICS]
     rows: list[list] = []
-    step, where, failure = 0, None, None
+
+    def on_step(t, eta_t, loss, grads, before, after, where):
+        step = t + 1
+        if probe is not None:
+            probe(t, before, after, loss, grads)
+        if step % cfg.log_every == 0 or step == cfg.steps:
+            row = [step, float(eta_t), float(loss)]
+            for layer, prev, grad in zip(after, before, grads):
+                if layer.name in matrix_layers:
+                    where[0] = layer.name
+                    met = _layer_metrics(layer, grad, prev.state.param)
+                    row += [met[metric] for metric in _LAYER_METRICS]
+            rows.append(row)
+        if out_dir and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
+            save_checkpoint(os.path.join(out_dir, f"ckpt_{step:06d}"), after, cfg.hp)
+
     with _Child(functools.partial(_train, cfg, spec, layers, batches, cfg.hp)) as steps:
-        try:
-            for t, eta_t, loss, grads, after in steps:
-                before, layers, step = layers, after, t + 1
-                if probe is not None:
-                    probe(t, before, layers, loss, grads)
-                if step % cfg.log_every == 0 or step == cfg.steps:
-                    row = [step, float(eta_t), float(loss)]
-                    for layer, prev, grad in zip(layers, before, grads):
-                        if layer.name in matrix_layers:
-                            where = layer.name
-                            met = _layer_metrics(layer, grad, prev.state.param)
-                            row += [met[metric] for metric in _LAYER_METRICS]
-                    rows.append(row)
-                if out_dir and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
-                    save_checkpoint(os.path.join(out_dir, f"ckpt_{step:06d}"), layers, cfg.hp)
-        except _RUN_ERRORS as exc:
-            failure = _failure(exc, step, layers, where)
+        layers, _, failure = _run(steps, layers, on_step)
 
     summary = {
         "preset": cfg.preset,
@@ -396,19 +395,34 @@ _RUN_ERRORS = (StepAllError, NonFiniteError, ZeroRowError, np.linalg.LinAlgError
                ArithmeticError)
 
 
-def _failure(exc: Exception, step: int, layers: list[Layer],
-             where: Optional[str] = None) -> dict:
-    """Where and why a run stopped, after ``step`` steps were consumed.
+def _run(steps: Iterator, layers: list[Layer], on_step: Callable):
+    """Consume ``steps``, the items of ``_train`` from ``layers``; return
+    ``(layers, step, failure)``: the layers after the last step counted, the
+    count, and ``None`` or the record of the run error that stopped the run.
 
-    A StepAllError comes from ``_train`` stepping ``layers`` as step
-    ``step + 1`` and names its first failed layer; any other error was raised
-    while consuming step ``step``, in layer ``where`` if given.
+    The one consumer of ``_train``'s items. Each step calls
+    ``on_step(t, eta_t, loss, grads, before, after, where)``, which sets
+    ``where[0]`` to the name of the layer it is working on. A true return
+    stops the run without counting step ``t``. The record is
+    ``{step, layer, exception, message}``: a StepAllError comes from stepping
+    the layers as step ``step + 1`` and names its first failed layer; any
+    other error was raised while consuming step ``step``, in layer
+    ``where[0]``.
     """
-    if isinstance(exc, StepAllError):
-        i, exc = exc.failures[0]
-        step, where = step + 1, layers[i].name
-    return {"step": step, "layer": where, "exception": type(exc).__name__,
-            "message": str(exc)}
+    step, where = 0, [None]
+    try:
+        for t, eta_t, loss, grads, after in steps:
+            before, layers, step = layers, after, t + 1
+            if on_step(t, eta_t, loss, grads, before, after, where):
+                return before, t, None
+    except _RUN_ERRORS as exc:
+        failed, at = exc, step
+        if isinstance(exc, StepAllError):
+            i, failed = exc.failures[0]
+            at, where[0] = step + 1, layers[i].name
+        return layers, step, {"step": at, "layer": where[0],
+                              "exception": type(failed).__name__, "message": str(failed)}
+    return layers, step, None
 
 
 def _stopped(failure: dict) -> str:
@@ -545,22 +559,18 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
         # bound. The loss _train takes before step t + 1 is the loss after step
         # t, so only the loss after the last step taken is evaluated here.
         losses, duals, bounds = [], [], []
-        dual_sum = 0.0
-        step, layers, failure = 0, start, None
-        try:
-            # the quadratic ignores its batch, so one placeholder serves every step
-            for t, _, loss, grads, after in _train(run_cfg, spec, start, [None], hp):
-                before, layers, step = layers, after, t + 1
-                losses.append(loss)
-                gg, gr = _view_of(before[0].state).split(grads[0])
-                l1, nuc = vec_l1(gg), nuclear_norm(gr)
-                dual = l1 + nuc  # dual_norm(gg, gr), whose SVD the bound reuses
-                bounds.append(-step_size * l1 - step_size * nuc
-                              + 0.5 * big_l * (step_size ** 2 + step_size ** 2))
-                duals.append(dual)
-                dual_sum += dual
-        except _RUN_ERRORS as exc:
-            failure = _failure(exc, step, layers, "W")
+
+        def on_step(t, eta_t, loss, grads, before, after, where):
+            where[0] = "W"
+            losses.append(loss)
+            gg, gr = _view_of(before[0].state).split(grads[0])
+            l1, nuc = vec_l1(gg), nuclear_norm(gr)
+            bounds.append(-step_size * l1 - step_size * nuc
+                          + 0.5 * big_l * (step_size ** 2 + step_size ** 2))
+            duals.append(l1 + nuc)  # dual_norm(gg, gr), whose SVD the bound reuses
+
+        # the quadratic ignores its batch, so one placeholder serves every step
+        layers, _, failure = _run(_train(run_cfg, spec, start, [None], hp), start, on_step)
         if len(losses) == len(bounds):  # else the loss of the failed step ends the last row
             losses.append(loss_and_grad(spec, _params_as_set(layers), None)[0])
         slacks = [(after - loss) - rhs for loss, after, rhs in zip(losses, losses[1:], bounds)]
@@ -571,7 +581,7 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
                                "detail": _stopped(failure)})
             continue
         worst_slack = max(slacks)
-        avg_dual = dual_sum / horizon
+        avg_dual = sum(duals) / horizon
         bound = 4.0 * math.sqrt(big_l * delta1 / horizon)
         assertions.append({
             "name": f"rate_bound_T{horizon}",
@@ -602,26 +612,25 @@ def preset_noise_compare(cfg: ExperimentConfig, out_dir: Optional[str] = None) -
     k = min(cfg.noise_checkpoints, cfg.steps)
     checkpoint_steps = sorted({round((i + 1) * cfg.steps / k) for i in range(k)})
     rows = []
-    step, where, failure = 0, None, None
-    try:
-        for t, _, _, _, layers in _train(cfg, spec, layers, batches, cfg.hp):
-            step = t + 1
-            if step not in checkpoint_steps:
+
+    def on_step(t, eta_t, loss, grads, before, after, where):
+        step = t + 1
+        if step not in checkpoint_steps:
+            return
+        sample_grads: list[list[np.ndarray]] = []
+        _, true_grads = models.full_dataset_gradient(spec, _params_as_set(after),
+                                                     batches, sample_grads)
+        for i, layer in enumerate(after):
+            if layer.state.param.ndim != 2:
                 continue
-            sample_grads: list[list[np.ndarray]] = []
-            _, true_grads = models.full_dataset_gradient(spec, _params_as_set(layers),
-                                                         batches, sample_grads)
-            for i, layer in enumerate(layers):
-                if layer.state.param.ndim != 2:
-                    continue
-                where = layer.name
-                report = noise_coefficients(
-                    true_grads[i], [s[i] for s in sample_grads], _view_of(layer.state))
-                rows.append([step, layer.name, report.sigma_W, report.sigma_g,
-                             report.sigma_R, report.zeta_W, report.zeta_g,
-                             report.zeta_R, report.muon_coeff, report.muown_coeff])
-    except _RUN_ERRORS as exc:
-        failure = _failure(exc, step, layers, where)
+            where[0] = layer.name
+            report = noise_coefficients(
+                true_grads[i], [s[i] for s in sample_grads], _view_of(layer.state))
+            rows.append([step, layer.name, report.sigma_W, report.sigma_g,
+                         report.sigma_R, report.zeta_W, report.zeta_g,
+                         report.zeta_R, report.muon_coeff, report.muown_coeff])
+
+    _, _, failure = _run(_train(cfg, spec, layers, batches, cfg.hp), layers, on_step)
     ok = not failure and len(rows) > 0 and all(
         all(math.isfinite(v) and v >= 0.0 for v in r[2:]) for r in rows)
     _write_run(out_dir, ["step", "layer", "sigma_W", "sigma_g", "sigma_R", "zeta_W",
@@ -666,20 +675,13 @@ def _sweep_cell(cfg: ExperimentConfig, spec: ModelSpec, params: ParamSet,
     """The lr-sweep row of one cell: ``cfg``'s run with optimizer ``opt_kind`` at
     rate ``eta``, from the sweep's shared model and data."""
     layers = init_layers(params.named_values(), matrix_kind=opt_kind)
-    final_loss = math.inf
-    steps_done = 0
-    try:
-        # A step is counted when the loss it started from is below
-        # the sentinel; the step taken from a diverged loss is not.
-        for t, _, loss, _, stepped in _train(cfg, spec, layers, batches,
-                                                replace(cfg.hp, eta=eta)):
-            if not math.isfinite(loss) or loss > DIVERGENCE_LOSS:
-                break
-            layers, steps_done = stepped, t + 1
-        else:
-            final_loss, _ = loss_and_grad(spec, _params_as_set(layers), first_batch)
-    except _RUN_ERRORS:
-        pass  # final_loss stays inf: the cell diverged
+    # A step is counted when the loss it started from is below the sentinel;
+    # the step taken from a diverged loss is not. A run error stops the cell too.
+    layers, steps_done, _ = _run(
+        _train(cfg, spec, layers, batches, replace(cfg.hp, eta=eta)), layers,
+        lambda t, eta_t, loss, *_: not math.isfinite(loss) or loss > DIVERGENCE_LOSS)
+    final_loss = (loss_and_grad(spec, _params_as_set(layers), first_batch)[0]
+                  if steps_done == cfg.steps else math.inf)
     diverged = not (math.isfinite(final_loss) and final_loss <= DIVERGENCE_LOSS)
     return [opt_kind, float(eta), math.inf if diverged else float(final_loss),
             steps_done, int(diverged)]

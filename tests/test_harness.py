@@ -261,6 +261,51 @@ class TestPresets:
                           "zeta_W", "zeta_g", "zeta_R", "muon_coeff", "muown_coeff"]
         assert len(rows) == 2 * 2  # two matrix layers, two checkpoints
 
+    @pytest.mark.parametrize("sets, rows, detail", [
+        # checkpoint 2's report of W1 is written; W2's raises
+        pytest.param(["optimizer.kind=muown_signum", "optimizer.eta=1e20", "steps=10"], 1,
+                     "stopped at step 2, layer W2: ZeroRowError: row 0 has norm 0.0, "
+                     "below the nonzero-row floor", id="report-fails"),
+        pytest.param(["optimizer.eta=1e300", "steps=5"], 0,
+                     "stopped at step 1, layer W1: NonFiniteError: carrier row norms "
+                     "contains NaN/Inf", id="step-fails"),
+    ])
+    def test_noise_compare_records_where_the_run_stopped(self, tmp_path, sets, rows, detail):
+        cfg = config_from_dict(apply_overrides({}, sets), preset="noise-compare")
+        verdict = run_preset(cfg, str(tmp_path))
+        assert verdict["assertions"] == [
+            {"name": "noise_reports_computed", "pass": False, "detail": detail}]
+        assert len(_read_csv(tmp_path / "log.csv")[1]) == rows
+
+    @pytest.mark.parametrize("kind, log2, row, failed_from", [
+        # the second step fails: one step counted, none of the failed one
+        pytest.param("muown", 512, ["muown", "1.3407807929942597e+154", "inf", "1", "1"], [1],
+                     id="step-fails"),
+        # the loss before step 16 is past the sentinel
+        pytest.param("signum", 17, ["signum", "131072.0", "inf", "15", "1"], [],
+                     id="sentinel"),
+    ])
+    def test_lr_sweep_cell_stops(self, monkeypatch, tmp_path, kind, log2, row, failed_from):
+        monkeypatch.setattr(optimizers, "_workers", lambda: 1)
+        errors = []
+        inner = harness.step_all
+
+        def spy(layers, grads, hp):
+            try:
+                return inner(layers, grads, hp)
+            except StepAllError:
+                errors.append(layers[0].state.t)  # the steps its layers had taken
+                raise
+
+        monkeypatch.setattr(harness, "step_all", spy)
+        cfg = config_from_dict({"lr_sweep": {"log2_min": log2, "log2_max": log2,
+                                             "optimizers": [kind]}}, preset="lr-sweep")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert preset_lr_sweep(cfg, str(tmp_path))["pass"]
+        assert _read_csv(tmp_path / "log.csv")[1] == [row]
+        assert errors == failed_from
+
     def test_lr_sweep_grid_and_sentinel(self, tmp_path):
         # the top of the grid is large enough to blow past the loss sentinel
         # even though tanh saturation caps the growth rate
@@ -830,6 +875,9 @@ class TestVectorRouting:
                                    "log2_max": -6}}),
     ])
     def test_signum_steps_vector_params_with_signum(self, monkeypatch, preset, sets):
+        # one process, so that the spy sees every step (single forks its
+        # training child at two workers)
+        monkeypatch.setattr(optimizers, "_workers", lambda: 1)
         kinds = set()
         inner = harness.step_all
 
