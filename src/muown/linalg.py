@@ -36,7 +36,13 @@ def check_finite(arr: np.ndarray, what: str) -> np.ndarray:
 def row_norms(a) -> np.ndarray:
     """Euclidean norm of each row; zero rows yield 0."""
     a = as_matrix(a)
-    return np.sqrt((a * a).sum(axis=1))
+    return row_norms_into(a, np.empty_like(a))
+
+
+def row_norms_into(a, scratch) -> np.ndarray:
+    """``row_norms(a)`` with the squares written into ``scratch``, an array
+    shaped and laid out like ``a`` (the row sums' order depends on it)."""
+    return np.sqrt(np.multiply(a, a, out=scratch).sum(axis=1))
 
 
 def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

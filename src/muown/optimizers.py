@@ -25,11 +25,24 @@ kind's gradient; the muown kinds split it with ``ReparamView.split`` on the
 view rebuilt and checked from their state; ``_nesterov`` is Muon's direction
 step, used unchanged by ``muon``, ``muown`` and ``muown_fixed``; ``_adam`` is
 the moment update of ``adamw`` and of muown's magnitudes; ``_recompose``
-adds the decoupled decay to ``reparam.recompose``, the muown kinds' rebuild.
+adds the decoupled decay to ``reparam.rebuild``, the in-place form of
+``reparam.recompose`` and the muown kinds' rebuild.
 
 Every step function is pure: it returns a fresh state and never mutates its
 inputs, which is what makes per-layer execution order irrelevant: ``step_all``
 may step heavy layers on several threads and still return the serial bits.
+
+Memory contract. The arrays of a returned state are fresh: none shares
+memory with another field, with the input state or with the gradient, and
+none is written after the return. Scratch is per call, never kept on the
+module or a state, since ``step_all`` runs steps on threads. A muown step
+builds W in its own carrier R; the product buffer in which the split forms
+grad_R then holds the Nesterov mix, the scaled step and the squares of the
+new row norms, so the step allocates R, the split's unit-row direction
+(dropped after the split), that buffer, the new momentum, a transient
+``beta1 * M`` and Newton-Schulz's two m x n arrays. Zero momenta come from
+``np.zeros``: their calloc'd pages cost no memory until written, and a step
+only reads them.
 """
 
 from __future__ import annotations
@@ -46,9 +59,9 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import StepAllError
-from .linalg import as_matrix, check_finite, row_norms
+from .linalg import as_matrix, check_finite, row_norms_into
 from .orthogonalize import DEFAULT_NS, NSConfig, descent_direction
-from .reparam import check_rows_nonzero, init_view, recompose, view_from_state
+from .reparam import check_rows_nonzero, init_view, rebuild, view_from_state
 from .serialize import atomic_open, read_record, write_record
 
 if TYPE_CHECKING:
@@ -155,33 +168,34 @@ class SignumState:
 
 def init_muown(w) -> MuownState:
     v = init_view(w)
-    return MuownState(param=v.R, g=v.g, r=v.r, M=np.zeros_like(v.R),
-                      m_g=np.zeros_like(v.g), v_g=np.zeros_like(v.g), t=0)
+    return MuownState(param=v.R, g=v.g, r=v.r, M=np.zeros(v.R.shape),
+                      m_g=np.zeros(v.g.shape), v_g=np.zeros(v.g.shape), t=0)
 
 
 def init_muown_fixed(w) -> MuownFixedState:
     v = init_view(w)
-    return MuownFixedState(param=v.R, g=v.g, r=v.r, M=np.zeros_like(v.R), t=0)
+    return MuownFixedState(param=v.R, g=v.g, r=v.r, M=np.zeros(v.R.shape), t=0)
 
 
 def init_muown_signum(w) -> MuownSignumState:
     v = init_view(w)
-    return MuownSignumState(param=v.R, g=v.g, r=v.r, M=np.zeros_like(v.R), m=np.zeros_like(v.g))
+    return MuownSignumState(param=v.R, g=v.g, r=v.r, M=np.zeros(v.R.shape),
+                            m=np.zeros(v.g.shape))
 
 
 def init_muon(w) -> MuonState:
     m = as_matrix(w)
-    return MuonState(param=m.copy(), M=np.zeros_like(m), t=0)
+    return MuonState(param=m.copy(), M=np.zeros(m.shape), t=0)
 
 
 def init_adamw(p) -> AdamWState:
     p = np.asarray(p, dtype=np.float64)
-    return AdamWState(param=p.copy(), m=np.zeros_like(p), v=np.zeros_like(p), t=0)
+    return AdamWState(param=p.copy(), m=np.zeros(p.shape), v=np.zeros(p.shape), t=0)
 
 
 def init_signum(p) -> SignumState:
     p = np.asarray(p, dtype=np.float64)
-    return SignumState(param=p.copy(), m=np.zeros_like(p), t=0)
+    return SignumState(param=p.copy(), m=np.zeros(p.shape), t=0)
 
 
 # --------------------------------------------------------------------------
@@ -196,12 +210,19 @@ def _grad_for(state, grad) -> np.ndarray:
     return grad
 
 
-def _nesterov(M_prev, grad, shape, hp: HyperParams):
-    """Muon's direction rule: (new momentum, RMS-scaled orthogonalized Nesterov step)."""
-    M = hp.beta1 * M_prev + grad
-    O = descent_direction(hp.beta1 * M + grad, hp.backend, hp.ns)
+def _nesterov(M_prev, grad, shape, hp: HyperParams, out=None):
+    """Muon's direction rule: (new momentum, RMS-scaled orthogonalized Nesterov step).
+
+    The mix ``beta1 * M + grad`` is built in ``out``, which may be ``grad``
+    when the caller owns it, else fresh. The step is written over the mix,
+    which is dead once its direction is taken; the direction is never written.
+    """
+    M = hp.beta1 * M_prev
+    M += grad
+    mix = np.add(hp.beta1 * M, grad, out=out)
+    O = descent_direction(mix, hp.backend, hp.ns)
     scale = rms_match_scale(shape) if hp.rms_scale_on else 1.0
-    return M, (scale * hp.eta) * O
+    return M, np.multiply(scale * hp.eta, O, out=mix)
 
 
 def _adam(m, v, grad, t: int, hp: HyperParams):
@@ -213,16 +234,20 @@ def _adam(m, v, grad, t: int, hp: HyperParams):
     return m, v, hp.eta * mhat / (np.sqrt(vhat) + hp.adam_eps)
 
 
-def _recompose(state, g, R, hp: HyperParams):
-    """(W, g, r): ``recompose(g, R)`` minus the decoupled decay of the old W.
+def _recompose(state, g, R, step, hp: HyperParams):
+    """(W, g, r): ``recompose(g, R + step)`` minus the decoupled decay of the old W.
 
-    With decay, g is refreshed to the new row norms so the |g| = ||W||_row
-    invariant survives.
+    ``step`` is added in place to ``R``, the caller's own carrier, and W is
+    built over it; ``step``'s array, dead from then on, takes the squares and
+    the decay term. With decay, g is refreshed to the new row norms so the
+    |g| = ||W||_row invariant survives.
     """
-    w_new, r = recompose(g, R)
+    R += step
+    w_new, r = rebuild(g, R, step)
     if hp.weight_decay != 0.0:
-        w_new = w_new - (hp.eta * hp.weight_decay) * state.param
-        g = check_rows_nonzero(check_finite(row_norms(w_new), "updated row norms"))
+        w_new -= np.multiply(hp.eta * hp.weight_decay, state.param, out=step)
+        g = check_rows_nonzero(check_finite(row_norms_into(w_new, step),
+                                            "updated row norms"))
     return check_finite(w_new, "updated param"), g, r
 
 
@@ -237,10 +262,10 @@ def muown_step(state: MuownState, grad_w, hp: HyperParams) -> MuownState:
     grad_w = _grad_for(state, grad_w)
     view = view_from_state(state.param, state.g, state.r)
     gg, gR = view.split(grad_w)
-    M, step = _nesterov(state.M, gR, state.param.shape, hp)
+    M, step = _nesterov(state.M, gR, state.param.shape, hp, out=gR)
     t = state.t + 1
     m_g, v_g, delta = _adam(state.m_g, state.v_g, gg, t, hp)
-    w_new, g, r = _recompose(state, state.g - delta, view.R + step, hp)
+    w_new, g, r = _recompose(state, state.g - delta, view.R, step, hp)
     return MuownState(param=w_new, g=g, r=r, M=M, m_g=m_g, v_g=v_g, t=t)
 
 
@@ -252,8 +277,9 @@ def muown_fixed_step(state: MuownFixedState, grad_w, hp: HyperParams) -> MuownFi
     grad_w = _grad_for(state, grad_w)
     view = view_from_state(state.param, state.g, state.r)
     _, gR = view.split(grad_w)
-    M, step = _nesterov(state.M, gR, state.param.shape, hp)
-    w_new, g, r = _recompose(state, state.g, view.R + step, hp)
+    M, step = _nesterov(state.M, gR, state.param.shape, hp, out=gR)
+    # g is copied so that no two states share an array
+    w_new, g, r = _recompose(state, state.g.copy(), view.R, step, hp)
     return MuownFixedState(param=w_new, g=g, r=r, M=M, t=state.t + 1)
 
 
@@ -268,11 +294,12 @@ def muown_signum_step(state: MuownSignumState, grad_w, hp: HyperParams) -> Muown
     grad_w = _grad_for(state, grad_w)
     view = view_from_state(state.param, state.g, state.r)
     gg, gR = view.split(grad_w)
-    M = hp.beta1 * (gR if state.t == 0 else state.M) + gR
+    M = hp.beta1 * (gR if state.t == 0 else state.M)
+    M += gR
     m = hp.beta1 * (gg if state.t == 0 else state.m) + gg
-    R = view.R + hp.eta * descent_direction(M, hp.backend, hp.ns)
+    step = np.multiply(hp.eta, descent_direction(M, hp.backend, hp.ns), out=gR)
     gamma = hp.eta if hp.gamma is None else hp.gamma
-    w_new, g, r = _recompose(state, state.g - gamma * np.sign(m), R, hp)
+    w_new, g, r = _recompose(state, state.g - gamma * np.sign(m), view.R, step, hp)
     return MuownSignumState(param=w_new, g=g, r=r, M=M, m=m, t=state.t + 1)
 
 
@@ -280,7 +307,8 @@ def muon_step(state: MuonState, grad_w, hp: HyperParams) -> MuonState:
     """Spectral steepest descent with simplified Nesterov momentum."""
     grad_w = _grad_for(state, grad_w)
     M, step = _nesterov(state.M, grad_w, state.param.shape, hp)
-    w_new = state.param + step - (hp.eta * hp.weight_decay) * state.param
+    w_new = state.param + step
+    w_new -= np.multiply(hp.eta * hp.weight_decay, state.param, out=step)
     return MuonState(param=check_finite(w_new, "updated param"), M=M, t=state.t + 1)
 
 

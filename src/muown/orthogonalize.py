@@ -80,15 +80,17 @@ def newton_schulz(g, cfg: NSConfig = DEFAULT_NS) -> np.ndarray:
     the input is zero/non-finite or the iteration degenerates. The input is
     never written to.
 
-    The iteration allocates nothing per step: it works in place on one
-    C-contiguous ``x`` and three work arrays (``gram``, ``poly``, ``y``) made
-    once per call. It forms ``c * gram @ gram + b * gram`` and
-    ``x * a + poly @ x``, whose sums equal the textbook order bit for bit
+    The iteration allocates nothing per step: it works on two m x n arrays,
+    the prenormalized input ``x`` and ``y``, and two k x k work arrays
+    (``gram``, ``poly``), all made once per call. A step writes ``poly @ x``
+    into ``y``, scales ``x`` by ``a`` in place and adds it, and the two m x n
+    arrays swap roles. It forms ``c * gram @ gram + b * gram`` and
+    ``poly @ x + x * a``, whose sums equal the textbook order bit for bit
     (IEEE addition commutes). At desk sizes numpy's per-call overhead, not
     flops, sets the cost, so the loop trims it three ways without changing a
     bit. Each product is the ``ndarray.dot`` method with ``out=``, which skips
     the ``__array_function__`` dispatch of ``np.dot``. The transposed views
-    ``src.T`` and ``x.T`` are made once per call, not once per product, and
+    ``x.T`` and ``y.T`` are made once per call, not once per product, and
     numpy still takes syrk for ``x x^T`` because the view shares ``x``'s
     buffer (gemm otherwise, as ``@`` does). The coefficients are 0-d float64
     arrays, so no scalar product converts a Python float. On a 2-CPU Xeon
@@ -96,10 +98,11 @@ def newton_schulz(g, cfg: NSConfig = DEFAULT_NS) -> np.ndarray:
     against 0.83 us for ``np.dot``, ``x.dot(xt, out=)`` 0.91 us against
     1.13 us with a fresh ``x.T``, and ``np.multiply(p, c, out=)`` 0.73 us
     against 1.18 us with a Python-float ``c``. The first step reads the
-    prenormalized input ``src`` in the layout the division gives it
-    (F-ordered for a tall C-ordered input), as the textbook loop does,
-    because BLAS may round ``poly @ x`` differently for the two layouts (it
-    does at 100x37).
+    prenormalized input in the layout the division gives it (F-ordered for a
+    tall C-ordered input), as the textbook loop does, because BLAS may round
+    ``poly @ x`` differently for the two layouts (it does at 100x37); from
+    the second step on its array is reused through a C-ordered view, as
+    ``out=`` needs.
 
     A finite input whose squared entries overflow or underflow (Frobenius
     norm inf, or below 2**-511) is first scaled by the power of two that
@@ -119,24 +122,27 @@ def newton_schulz(g, cfg: NSConfig = DEFAULT_NS) -> np.ndarray:
     if not 0.0 < fro < np.inf:
         raise NonFiniteError("newton_schulz needs a nonzero finite matrix")
     transposed = g.shape[0] > g.shape[1]
-    src = np.divide(g.T if transposed else g, fro)
-    x = src if src.flags.c_contiguous else np.empty(src.shape)
+    x = np.divide(g.T if transposed else g, fro)
     a, b, c = (np.array(v, dtype=np.float64) for v in cfg.coeffs)
     k = x.shape[0]
     gram = np.empty((k, k))
     poly = np.empty((k, k))
-    y = np.empty_like(x)
-    src_t, x_t = src.T, x.T
+    y = np.empty(x.shape)
+    # x's own buffer in C order: the first step's output goes to y, and from
+    # then on the two buffers take turns
+    spare = x if x.flags.c_contiguous else x.T.reshape(x.shape)
+    x_t, y_t, spare_t = x.T, y.T, spare.T
     for _ in range(cfg.steps):
-        src.dot(src_t, out=gram)
+        x.dot(x_t, out=gram)
         gram.dot(gram, out=poly)
         poly *= c
         gram *= b
         poly += gram
-        poly.dot(src, out=y)
-        np.multiply(src, a, out=x)
-        x += y
-        src, src_t = x, x_t
+        poly.dot(x, out=y)
+        x *= a
+        y += x
+        x, x_t, y, y_t = y, y_t, spare, spare_t
+        spare, spare_t = x, x_t
     if transposed:
         x = x.T
     if not np.isfinite(x).all():
@@ -159,12 +165,15 @@ def descent_direction(g, backend: str = "polar", ns: NSConfig = DEFAULT_NS) -> n
 
     An exactly zero input maps to the zero matrix in both backends: the
     minimizer set is the whole ball and zero is the fixpoint-preserving pick.
+    The result is the backend's own fresh array, negated in place.
     """
     g = as_matrix(g)
     if not g.any():
         return np.zeros_like(g)
     if backend == "polar":
-        return -polar_exact(g)
-    if backend == "ns":
-        return -newton_schulz(g, ns)
-    raise ValueError(f"unknown orthogonalization backend {backend!r}")
+        x = polar_exact(g)
+    elif backend == "ns":
+        x = newton_schulz(g, ns)
+    else:
+        raise ValueError(f"unknown orthogonalization backend {backend!r}")
+    return np.negative(x, out=x)

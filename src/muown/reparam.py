@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ZeroRowError
-from .linalg import as_matrix, as_vector, check_finite, row_norms
+from .linalg import as_matrix, as_vector, check_finite, row_norms, row_norms_into
 
 # Rows at or below this norm are rejected outright: the decomposition is
 # undefined for zero rows and silent regularization would mask caller bugs.
@@ -54,10 +54,11 @@ class ReparamView:
         return self.R / self.r[:, None]
 
     def split(self, grad_w) -> tuple[np.ndarray, np.ndarray]:
-        """A raw gradient as ``(grad_g, grad_R)``, from one row-sum pass."""
-        grad_w = as_matrix(grad_w)
-        gg = grad_g(grad_w, self.D)
-        return gg, _tangent(grad_w, gg, self.g, self.r, self.D)
+        """A raw gradient as ``(grad_g, grad_R)``, from one row-sum pass.
+
+        It allocates two m x n arrays: a fresh unit-row direction (``D``'s
+        bits, never cached) and the row-sum product, which becomes grad_R."""
+        return _split(as_matrix(grad_w), self.g, self.r, self.R / self.r[:, None])
 
 
 def init_view(w) -> ReparamView:
@@ -93,8 +94,18 @@ def recompose(g, big_r) -> tuple[np.ndarray, np.ndarray]:
     big_r = as_matrix(big_r)
     if g.shape[0] != big_r.shape[0]:
         raise ValueError(f"g length {g.shape[0]} != R rows {big_r.shape[0]}")
-    r = check_rows_nonzero(check_finite(row_norms(big_r), "carrier row norms"))
-    return (g / r)[:, None] * big_r, r
+    return rebuild(g, big_r.copy(order="K"), np.empty_like(big_r))
+
+
+def rebuild(g, big_r, scratch) -> tuple[np.ndarray, np.ndarray]:
+    """``recompose(g, big_r)`` in place: W is written over ``big_r``, and the
+    squares of the row norms into ``scratch``, an array shaped and laid out
+    like ``big_r``. Returns (W, r). For the optimizers, whose carrier is
+    their own per-call array."""
+    r = check_rows_nonzero(check_finite(row_norms_into(big_r, scratch),
+                                        "carrier row norms"))
+    big_r *= (g / r)[:, None]
+    return big_r, r
 
 
 def grad_g(grad_w, d) -> np.ndarray:
@@ -114,9 +125,20 @@ def grad_R(grad_w, g, r, d) -> np.ndarray:
     if g.shape != r.shape:
         raise ValueError("g and r must have equal length")
     grad_w, d = as_matrix(grad_w), as_matrix(d)
-    return _tangent(grad_w, grad_g(grad_w, d), g, r, d)
+    if grad_w.shape != d.shape:
+        raise ValueError(f"shape mismatch {grad_w.shape} vs {d.shape}")
+    return _split(grad_w, g, r, d.copy(order="K"))[1]
 
 
-def _tangent(grad_w, gg, g, r, d) -> np.ndarray:
-    """Diag(g/r) @ (grad_w - Diag(gg) @ d): grad_R, given gg = grad_g(grad_w, d)."""
-    return (g / r)[:, None] * (grad_w - gg[:, None] * d)
+def _split(grad_w, g, r, d) -> tuple[np.ndarray, np.ndarray]:
+    """(grad_g, grad_R) with grad_R = Diag(g/r) @ (grad_w - Diag(grad_g) @ d).
+
+    ``d`` is the caller's own copy and is written over. grad_R is built in the
+    ``grad_w * d`` product that gives grad_g, so it takes the layout that
+    numpy gives ``grad_w - Diag(grad_g) @ d``."""
+    gr = grad_w * d
+    gg = gr.sum(axis=1)
+    d *= gg[:, None]
+    np.subtract(grad_w, d, out=gr)
+    gr *= (g / r)[:, None]
+    return gg, gr

@@ -1,10 +1,11 @@
 """One benchmark unit per BLAS-heavy workload keeps its recorded digest.
 
 ``bench/expected.json`` records, per workload and seed, the sha256 of a unit's
-log (train-mid) or final parameters (shard-large). The preset hashes checked
-in ``test_golden.py`` cover only desk-size shapes; these two units cover the
-large tall, wide and square matrices that Newton-Schulz and ``step_all``
-work on.
+log (train-mid, sweep-desk) or final parameters (shard-large). The preset
+hashes checked in ``test_golden.py`` cover the default desk-size configs;
+these units cover the large tall, wide and square matrices that
+Newton-Schulz and ``step_all`` work on, and sweep-desk's 36 cells of 8x6
+steps at another seed, where a step's layouts and call counts show.
 """
 
 import importlib.util
@@ -27,7 +28,7 @@ def workloads():
     return module
 
 
-@pytest.mark.parametrize("name", ["shard-large", "train-mid"])
+@pytest.mark.parametrize("name", ["shard-large", "sweep-desk", "train-mid"])
 def test_unit_digest_matches_expected(workloads, tmp_path, name):
     expected = json.loads((BENCH / "expected.json").read_text())["workload_log_sha256"]
     unit = workloads.WORKLOADS[name](1, str(tmp_path)).unit()

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from muown import optimizers, reparam
 from muown.errors import NonFiniteError, StepAllError, ZeroRowError
 from muown.linalg import row_norms, singular_values
 from muown.optimizers import (
+    INIT_FNS,
+    STEP_FNS,
     HyperParams,
     adamw_step,
     init_adamw,
@@ -33,7 +36,7 @@ from muown.optimizers import (
 )
 from muown.orthogonalize import NSConfig
 
-from conftest import bitwise_equal, write_record_failing_after
+from conftest import REFERENCE_STEPS, bitwise_equal, write_record_failing_after
 
 POLAR = HyperParams(eta=0.05, backend="polar")
 
@@ -476,6 +479,85 @@ class TestPurity:
             for f, a in arrays.items():
                 assert bitwise_equal(a, copies[f]), f
             layer = stepped
+
+    @pytest.mark.parametrize("kind", ["muown", "muown_fixed", "muown_signum",
+                                      "muon", "adamw", "signum"])
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9), (6, 6)])
+    @pytest.mark.parametrize("backend", ["ns", "polar"])
+    def test_stepped_state_shares_no_memory(self, rng, kind, shape, backend):
+        """Every array a step returns is its own: no field shares memory with
+        another field, with the state it was stepped from or with the gradient."""
+        lam = 0.0 if kind == "muown_fixed" else 0.03
+        hp = HyperParams(eta=0.05, weight_decay=lam, beta1=0.9, backend=backend)
+        state = init_layers([("W", rng.standard_normal(shape))], matrix_kind=kind)[0].state
+        # the second step sees a state whose momenta are all arrays
+        for _ in range(2):
+            grad = rng.standard_normal(shape)
+            stepped = STEP_FNS[kind](state, grad, hp)
+            new = {f: getattr(stepped, f) for f in vars(stepped)
+                   if isinstance(getattr(stepped, f), np.ndarray)}
+            old = [getattr(state, f) for f in vars(state)
+                   if isinstance(getattr(state, f), np.ndarray)]
+            for f, a in new.items():
+                others = [b for g, b in new.items() if g != f] + old + [grad]
+                assert not any(np.shares_memory(a, b) for b in others), f
+            state = stepped
+
+
+class TestParentReference:
+    """The steps against ``conftest``'s copy of the step path as it was when
+    every operation made a fresh array: same states, bit for bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(sorted(REFERENCE_STEPS)), m=st.integers(1, 40),
+           n=st.integers(1, 40), backend=st.sampled_from(["ns", "polar"]),
+           decay=st.booleans(), steps=st.integers(1, 3), order=st.sampled_from("CF"),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kind="muown", m=100, n=37, backend="ns", decay=True, steps=2, order="C", seed=0)
+    @example(kind="muown_fixed", m=100, n=37, backend="ns", decay=False, steps=2,
+             order="C", seed=1)
+    @example(kind="muown_signum", m=100, n=37, backend="ns", decay=True, steps=3,
+             order="C", seed=2)
+    @example(kind="muon", m=100, n=37, backend="ns", decay=True, steps=2, order="C", seed=3)
+    @example(kind="muown", m=37, n=100, backend="ns", decay=False, steps=2, order="F", seed=4)
+    def test_steps_match_the_parent_bit_for_bit(self, kind, m, n, backend, decay, steps,
+                                                order, seed):
+        rng = np.random.default_rng(seed)
+        hp = HyperParams(eta=0.05, beta1=0.9, backend=backend, gamma=0.02,
+                         weight_decay=0.03 if decay and kind != "muown_fixed" else 0.0,
+                         ns=NSConfig(steps=5 + seed % 26))
+        state = ref = INIT_FNS[kind](rng.standard_normal((m, n)))
+        for _ in range(steps):
+            grad = np.asarray(rng.standard_normal((m, n)), order=order)
+            state = STEP_FNS[kind](state, grad, hp)
+            ref = REFERENCE_STEPS[kind](ref, grad, hp)
+            assert type(state) is type(ref)
+            for f in dataclasses.fields(ref):
+                a, b = getattr(state, f.name), getattr(ref, f.name)
+                assert bitwise_equal(a, b) if f.name != "t" else a == b, f.name
+
+
+class TestStepMemory:
+    @pytest.mark.parametrize("shape, budget", [((256, 64), 6.5), ((64, 256), 6.0)])
+    def test_muown_step_traced_peak(self, rng, shape, budget):
+        """One muown step's traced peak, in m x n float64 arrays beyond what was
+        allocated before it: the carrier that becomes W, the momentum, the
+        gradient split's buffer that holds the Nesterov mix and then the step,
+        Newton-Schulz's two buffers and its two k x k work arrays (6.04 and
+        5.65 with numpy 2.4; 9.04 and 7.65 when every operation made a fresh
+        array)."""
+        hp = HyperParams(eta=0.01)
+        state = muown_step(init_muown(rng.standard_normal(shape)),
+                           rng.standard_normal(shape), hp)
+        grad = rng.standard_normal(shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            muown_step(state, grad, hp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / (8 * shape[0] * shape[1]) <= budget
 
 
 class TestStartPointEquivalence:
