@@ -37,10 +37,12 @@ memory with another field, with the input state or with the gradient, and
 none is written after the return. Scratch is per call, never kept on the
 module or a state, since ``step_all`` runs steps on threads. A muown step
 builds W in its own carrier R; the product buffer in which the split forms
-grad_R then holds the Nesterov mix, the scaled step and the squares of the
-new row norms, so the step allocates R, the split's unit-row direction
-(dropped after the split), that buffer, the new momentum, a transient
-``beta1 * M`` and Newton-Schulz's two m x n arrays. Zero momenta come from
+grad_R then holds the Nesterov mix, which is lent to Newton-Schulz as its
+``x``, so the step allocates R, the split's unit-row direction (dropped
+after the split), that buffer, the new momentum, a transient ``beta1 * M``,
+Newton-Schulz's second m x n array and the scaled step, which then takes
+the squares of the new row norms. ``muon`` lends its fresh mix likewise. No
+array ``descent_direction`` returned is written. Zero momenta come from
 ``np.zeros``: their calloc'd pages cost no memory until written, and a step
 only reads them.
 """
@@ -214,15 +216,18 @@ def _nesterov(M_prev, grad, shape, hp: HyperParams, out=None):
     """Muon's direction rule: (new momentum, RMS-scaled orthogonalized Nesterov step).
 
     The mix ``beta1 * M + grad`` is built in ``out``, which may be ``grad``
-    when the caller owns it, else fresh. The step is written over the mix,
-    which is dead once its direction is taken; the direction is never written.
+    when the caller owns it, else fresh. The mix is dead once its direction
+    is taken, so it is lent to Newton-Schulz, which prenormalizes in it. The
+    step goes to a fresh array laid out like the mix, never over the
+    direction: ``rebuild``'s row sums follow the step's layout, and the
+    direction is the caller's to read after the step.
     """
     M = hp.beta1 * M_prev
     M += grad
     mix = np.add(hp.beta1 * M, grad, out=out)
-    O = descent_direction(mix, hp.backend, hp.ns)
+    O = descent_direction(mix, hp.backend, hp.ns, overwrite=True)
     scale = rms_match_scale(shape) if hp.rms_scale_on else 1.0
-    return M, np.multiply(scale * hp.eta, O, out=mix)
+    return M, np.multiply(scale * hp.eta, O, out=np.empty_like(mix))
 
 
 def _adam(m, v, grad, t: int, hp: HyperParams):

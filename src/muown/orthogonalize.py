@@ -71,14 +71,18 @@ class NSConfig:
 DEFAULT_NS = NSConfig()
 
 
-def newton_schulz(g, cfg: NSConfig = DEFAULT_NS) -> np.ndarray:
+def newton_schulz(g, cfg: NSConfig = DEFAULT_NS, *, overwrite: bool = False) -> np.ndarray:
     """Approximate the polar factor of a nonzero matrix.
 
     Prenormalizes by the Frobenius norm (so the iteration starts with all
     singular values in (0, 1]) and iterates on the transposed problem when
     that keeps the Gram matrix on the smaller side. Raises NonFiniteError if
     the input is zero/non-finite or the iteration degenerates. The input is
-    never written to.
+    never written to unless the caller lends it with ``overwrite=True``: a
+    writeable C- or F-contiguous float64 input is then prenormalized in
+    place, becomes ``x`` and may hold the result (it does after an even
+    number of steps); any other input is copied as without the permission.
+    Either way the bits are the same.
 
     The iteration allocates nothing per step: it works on two m x n arrays,
     the prenormalized input ``x`` and ``y``, and two k x k work arrays
@@ -122,7 +126,12 @@ def newton_schulz(g, cfg: NSConfig = DEFAULT_NS) -> np.ndarray:
     if not 0.0 < fro < np.inf:
         raise NonFiniteError("newton_schulz needs a nonzero finite matrix")
     transposed = g.shape[0] > g.shape[1]
-    x = np.divide(g.T if transposed else g, fro)
+    src = g.T if transposed else g
+    # the same view either way, so the first step reads the layout it reads
+    # without the permission
+    flags = src.flags
+    lent = overwrite and flags.writeable and flags.forc  # C- or F-contiguous
+    x = np.divide(src, fro, out=src if lent else None)
     a, b, c = (np.array(v, dtype=np.float64) for v in cfg.coeffs)
     k = x.shape[0]
     gram = np.empty((k, k))
@@ -160,12 +169,15 @@ def polar_exact(g) -> np.ndarray:
     return u @ v.T
 
 
-def descent_direction(g, backend: str = "polar", ns: NSConfig = DEFAULT_NS) -> np.ndarray:
+def descent_direction(g, backend: str = "polar", ns: NSConfig = DEFAULT_NS, *,
+                      overwrite: bool = False) -> np.ndarray:
     """Unit spectral-ball minimizer of <g, .>, i.e. the negated (approximate) polar.
 
     An exactly zero input maps to the zero matrix in both backends: the
     minimizer set is the whole ball and zero is the fixpoint-preserving pick.
-    The result is the backend's own fresh array, negated in place.
+    The result is the backend's own array, negated in place. The input is
+    never written to unless lent with ``overwrite=True``, which ``ns`` passes
+    on to ``newton_schulz``: the result may then live in the input's buffer.
     """
     g = as_matrix(g)
     if not g.any():
@@ -173,7 +185,7 @@ def descent_direction(g, backend: str = "polar", ns: NSConfig = DEFAULT_NS) -> n
     if backend == "polar":
         x = polar_exact(g)
     elif backend == "ns":
-        x = newton_schulz(g, ns)
+        x = newton_schulz(g, ns, overwrite=overwrite)
     else:
         raise ValueError(f"unknown orthogonalization backend {backend!r}")
     return np.negative(x, out=x)

@@ -33,6 +33,7 @@ from muown.harness import (
     run_experiment,
     run_preset,
 )
+from muown.orthogonalize import AGGRESSIVE_COEFFS, CLASSIC_COEFFS
 
 
 def _read_csv(path):
@@ -893,6 +894,56 @@ class TestVectorRouting:
         assert kinds == {"signum"}
 
 
+_TOY = st.integers(1, 4)
+
+
+@st.composite
+def _toy_configs(draw):
+    """A config dict at toy size: steps, dims and horizons <= 4, at most two
+    lr-sweep cells, eta from 1e-6 to 1e30; the cheap fields may be left out."""
+    kind = draw(st.sampled_from(sorted(models.MODEL_DIMS)))
+    sweep = draw(st.lists(st.sampled_from(sorted(optimizers.INIT_FNS)),
+                          min_size=1, max_size=2, unique=True))
+    log2_min = draw(st.integers(-30, 10))
+    raw = {
+        "steps": draw(_TOY),
+        "model": {"kind": kind, "dims": {d: draw(_TOY) for d in models.MODEL_DIMS[kind]}},
+        "rate_check": {"horizons": draw(st.lists(_TOY, min_size=1, max_size=2))},
+        "lr_sweep": {"optimizers": sweep, "log2_min": log2_min,
+                     "log2_max": log2_min + draw(st.integers(0, 2 - len(sweep)))},
+    }
+    optional = {
+        "seed": st.integers(0, 2**32 - 1),
+        "log_every": _TOY,
+        "checkpoint_every": st.integers(0, 4),
+        "model.num_batches": st.integers(1, 3),
+        "model.batch_size": _TOY,
+        "optimizer.kind": st.sampled_from(sorted(optimizers.INIT_FNS)),
+        "optimizer.eta": st.floats(-6, 30).map(lambda e: 10.0 ** e),
+        "optimizer.weight_decay": st.just(0.0) | st.floats(0, 1),
+        "optimizer.beta1": st.floats(0, 0.99),
+        "optimizer.adam_beta1": st.floats(0, 0.9),
+        "optimizer.adam_beta2": st.floats(0.91, 0.999),
+        "optimizer.adam_eps": st.floats(1e-12, 1e-2),
+        "optimizer.gamma": st.none() | st.floats(1e-6, 10),
+        "optimizer.backend": st.sampled_from(["ns", "polar"]),
+        "optimizer.rms_scale_on": st.booleans(),
+        "optimizer.ns_steps": _TOY,
+        "optimizer.ns_coeffs": st.sampled_from([list(CLASSIC_COEFFS),
+                                                list(AGGRESSIVE_COEFFS)]),
+        "schedule.kind": st.sampled_from(["constant", "wsd"]),
+        "schedule.warmup_frac": st.floats(0, 0.5),
+        "schedule.decay_frac": st.floats(0, 0.5),
+        "schedule.floor": st.floats(0, 1),
+        "noise.checkpoints": _TOY,
+    }
+    for path, values in optional.items():
+        if draw(st.booleans()):
+            section, _, leaf = path.rpartition(".")
+            (raw.setdefault(section, {}) if section else raw)[leaf] = draw(values)
+    return raw
+
+
 class TestCli:
     def test_run_with_config_and_overrides(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
@@ -997,6 +1048,22 @@ class TestCli:
             config_from_dict(apply_overrides({}, overrides))
         except ConfigError:
             pass
+
+    @settings(max_examples=40, deadline=None)
+    @given(preset=st.sampled_from(harness.PRESETS), raw=_toy_configs())
+    def test_a_toy_config_runs_to_a_verdict_or_a_config_error(self, preset, raw):
+        """Any toy-size config through ``cli.main``: exit 0 or 1 with a verdict,
+        or exit 2 for a config the dataclasses reject, never a traceback."""
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w") as fh:
+                json.dump(raw, fh)
+            out = os.path.join(tmp, "out")
+            rc = cli_main(["run", preset, "--config", config, "--out", out])
+            assert rc in (0, 1, 2)
+            if rc != 2:
+                with open(os.path.join(out, "verdict.json")) as fh:
+                    assert json.load(fh)["pass"] == (rc == 0)
 
     def test_bad_json_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"

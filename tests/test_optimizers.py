@@ -34,7 +34,7 @@ from muown.optimizers import (
     step_all,
     step_layer,
 )
-from muown.orthogonalize import NSConfig
+from muown.orthogonalize import NSConfig, descent_direction
 
 from conftest import REFERENCE_STEPS, bitwise_equal, write_record_failing_after
 
@@ -538,26 +538,55 @@ class TestParentReference:
 
 
 class TestStepMemory:
-    @pytest.mark.parametrize("shape, budget", [((256, 64), 6.5), ((64, 256), 6.0)])
-    def test_muown_step_traced_peak(self, rng, shape, budget):
-        """One muown step's traced peak, in m x n float64 arrays beyond what was
-        allocated before it: the carrier that becomes W, the momentum, the
-        gradient split's buffer that holds the Nesterov mix and then the step,
-        Newton-Schulz's two buffers and its two k x k work arrays (6.04 and
-        5.65 with numpy 2.4; 9.04 and 7.65 when every operation made a fresh
-        array)."""
+    @pytest.mark.parametrize("kind, shape, budget", [
+        ("muown", (256, 64), 5.5), ("muown", (64, 256), 5.0),
+        ("muon", (256, 64), 4.5), ("muon", (64, 256), 4.0)],
+        ids=["muown-256x64", "muown-64x256", "muon-256x64", "muon-64x256"])
+    def test_step_traced_peak(self, rng, kind, shape, budget):
+        """One step's traced peak, in m x n float64 arrays beyond what was
+        allocated before it. Muown holds the carrier that becomes W, the
+        momentum, the gradient split's buffer, which holds the Nesterov mix and
+        then Newton-Schulz's lent x, Newton-Schulz's second buffer and its two
+        k x k work arrays (5.04 and 4.65 with numpy 2.4; 6.04 and 5.65 when
+        Newton-Schulz copied the mix, 9.04 and 7.65 when every operation made a
+        fresh array). Muon holds no carrier (4.02 and 3.64; 5.02 and 4.64 with
+        a copied mix)."""
         hp = HyperParams(eta=0.01)
-        state = muown_step(init_muown(rng.standard_normal(shape)),
-                           rng.standard_normal(shape), hp)
+        state = STEP_FNS[kind](INIT_FNS[kind](rng.standard_normal(shape)),
+                               rng.standard_normal(shape), hp)
         grad = rng.standard_normal(shape)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            muown_step(state, grad, hp)
+            STEP_FNS[kind](state, grad, hp)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert (peak - before) / (8 * shape[0] * shape[1]) <= budget
+
+    @pytest.mark.parametrize("kind", ["muon", "muown", "muown_fixed"])
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9), (6, 6)])
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_a_returned_direction_is_never_written(self, rng, monkeypatch, kind, shape,
+                                                   steps):
+        """The step lends its dead mix to Newton-Schulz, which may leave the
+        direction in it; the step must not write over that direction."""
+        returned = []
+
+        def recorded(*args, **kwargs):
+            out = descent_direction(*args, **kwargs)
+            returned.append((out, out.copy()))
+            return out
+
+        monkeypatch.setattr(optimizers, "descent_direction", recorded)
+        hp = HyperParams(eta=0.05, weight_decay=0.0 if kind == "muown_fixed" else 0.03,
+                         ns=NSConfig(steps=steps))
+        layer = init_layers([("W", rng.standard_normal(shape))], matrix_kind=kind)[0]
+        for _ in range(2):
+            layer = step_layer(layer, rng.standard_normal(shape), hp)
+        assert len(returned) == 2
+        for out, copy in returned:
+            assert bitwise_equal(out, copy)
 
 
 class TestStartPointEquivalence:

@@ -9,6 +9,7 @@ from muown.models import loss_and_grad, make_model
 from muown.orthogonalize import (
     AGGRESSIVE_COEFFS,
     CLASSIC_COEFFS,
+    DEFAULT_NS,
     S_HI,
     S_LO,
     NSConfig,
@@ -91,15 +92,54 @@ def _pinned_inputs(rng):
     yield "mid-32x256", rng.standard_normal((32, 256))
 
 
-@pytest.mark.parametrize("cfg", [NSConfig(), NSConfig(steps=1),
+@pytest.mark.parametrize("cfg", [NSConfig(), NSConfig(steps=1), NSConfig(steps=2),
                                  NSConfig(steps=5, coeffs=AGGRESSIVE_COEFFS)],
-                         ids=["classic", "steps1", "aggressive"])
+                         ids=["classic", "steps1", "steps2", "aggressive"])
 def test_newton_schulz_equals_textbook_loop_bitwise(rng, cfg):
     for name, g in _pinned_inputs(rng):
         before = g.copy(order="K")
-        out = newton_schulz(g, cfg)
-        assert bitwise_equal(out, _textbook_newton_schulz(g, cfg)), name
+        ref = _textbook_newton_schulz(g, cfg)
+        assert bitwise_equal(newton_schulz(g, cfg), ref), name
         assert bitwise_equal(g, before), name  # the input is never written to
+        # a lent copy: an odd step count ends in the second buffer, an even
+        # one in the lent input
+        out = newton_schulz(before, cfg, overwrite=True)
+        assert bitwise_equal(out, ref), name
+        assert np.shares_memory(out, before) == (cfg.steps % 2 == 0), name
+        lent = g.copy(order="K")
+        assert bitwise_equal(descent_direction(lent, "ns", cfg, overwrite=True), -ref), name
+
+
+@pytest.mark.parametrize("scale", [2.0**560, 2.0**-560, 1e160, 1e-200])
+def test_a_lent_input_past_the_float_range_keeps_the_bits(rng, scale):
+    for name, g in _pinned_inputs(rng):
+        g = g * scale
+        ref = newton_schulz(g)
+        assert bitwise_equal(newton_schulz(g.copy(order="K"), overwrite=True), ref), name
+        assert bitwise_equal(descent_direction(g.copy(order="K"), "ns", overwrite=True),
+                             -ref), name
+        if np.log2(scale).is_integer():
+            assert bitwise_equal(ref, _textbook_newton_schulz(g / scale, DEFAULT_NS)), name
+
+
+def test_only_a_writeable_contiguous_input_is_written(rng):
+    cfg = NSConfig(steps=2)
+    base = rng.standard_normal((50, 60))
+    view = base[3::2, 1::3]
+    before = base.copy()
+    out = newton_schulz(view, cfg, overwrite=True)
+    assert bitwise_equal(base, before) and not np.shares_memory(out, base)
+    frozen = rng.standard_normal((12, 7))
+    frozen.flags.writeable = False
+    before = frozen.copy()
+    assert bitwise_equal(newton_schulz(frozen, cfg, overwrite=True),
+                         _textbook_newton_schulz(before, cfg))
+    assert bitwise_equal(frozen, before)
+    for backend in ("ns", "polar"):
+        g = rng.standard_normal((9, 4))
+        before = g.copy()
+        descent_direction(g, backend, cfg)
+        assert bitwise_equal(g, before), backend
 
 
 _LIGHT_CONFIGS = st.one_of(st.integers(1, 3).map(lambda k: NSConfig(steps=k)),
@@ -118,7 +158,9 @@ def test_newton_schulz_equals_textbook_loop_bitwise_property(m, n, layout, cfg, 
         g = rng.standard_normal((m, n))
         if layout == "F":
             g = np.asfortranarray(g)
-    assert bitwise_equal(newton_schulz(g, cfg), _textbook_newton_schulz(g, cfg))
+    ref = _textbook_newton_schulz(g, cfg)
+    assert bitwise_equal(newton_schulz(g, cfg), ref)
+    assert bitwise_equal(newton_schulz(g.copy(order="K"), cfg, overwrite=True), ref)
 
 
 def test_light_paths_skip_the_np_dot_dispatcher(rng, monkeypatch):
