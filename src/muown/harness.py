@@ -357,7 +357,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     if failure:
         summary["failure"] = failure
     else:
-        final_loss, _ = loss_and_grad(spec, _params_as_set(layers),
+        final_loss, _ = loss_and_grad(spec, _params_of(layers),
                                       _first_batch(batches, cfg.seed))
         summary["final_loss"] = float(final_loss)
         # The last step is always logged, so its row holds each final spec_norm.
@@ -384,7 +384,7 @@ def _train(cfg: ExperimentConfig, spec: ModelSpec, layers: list[Layer],
         if slot == 0:
             order = models.epoch_order(len(batches), cfg.seed, epoch)
         eta_t = eta_at(cfg.schedule, t, cfg.steps, hp.eta)
-        loss, grads = loss_and_grad(spec, _params_as_set(layers), batches[order[slot]])
+        loss, grads = loss_and_grad(spec, _params_of(layers), batches[order[slot]])
         step_hp = hp if eta_t == hp.eta else replace(hp, eta=eta_t)
         layers = step_all(layers, grads, step_hp)
         yield t, eta_t, loss, grads, layers
@@ -447,9 +447,9 @@ def _first_batch(batches: list[Batch], seed: int) -> Batch:
     return batches[models.epoch_order(len(batches), seed, 0)[0]]
 
 
-def _params_as_set(layers: list[Layer]) -> ParamSet:
+def _params_of(layers: list[Layer]) -> dict:
     """The layers' parameters under their names; models look them up by name."""
-    return ParamSet(models.Param(l.name, l.state.param) for l in layers)
+    return {l.name: l.state.param for l in layers}
 
 
 def _write_verdict(out_dir: Optional[str], preset: str, assertions: list[dict]) -> dict:
@@ -545,7 +545,7 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
     """
     spec = models.quadratic_spec(np.zeros((2, 2)))
     start = init_layers([("W", np.eye(2))], matrix_kind="muown_signum")
-    delta1 = loss_and_grad(spec, _params_as_set(start), None)[0] - spec.optimum
+    delta1 = loss_and_grad(spec, _params_of(start), None)[0] - spec.optimum
     big_l = spec.smoothness
     assertions = []
     all_rows = []
@@ -572,7 +572,7 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
         # the quadratic ignores its batch, so one placeholder serves every step
         layers, _, failure = _run(_train(run_cfg, spec, start, [None], hp), start, on_step)
         if len(losses) == len(bounds):  # else the loss of the failed step ends the last row
-            losses.append(loss_and_grad(spec, _params_as_set(layers), None)[0])
+            losses.append(loss_and_grad(spec, _params_of(layers), None)[0])
         slacks = [(after - loss) - rhs for loss, after, rhs in zip(losses, losses[1:], bounds)]
         all_rows += [[horizon, t + 1, float(loss), float(dual), float(slack)]
                      for t, (loss, dual, slack) in enumerate(zip(losses, duals, slacks))]
@@ -618,7 +618,7 @@ def preset_noise_compare(cfg: ExperimentConfig, out_dir: Optional[str] = None) -
         if step not in checkpoint_steps:
             return
         sample_grads: list[list[np.ndarray]] = []
-        _, true_grads = models.full_dataset_gradient(spec, _params_as_set(after),
+        _, true_grads = models.full_dataset_gradient(spec, _params_of(after),
                                                      batches, sample_grads)
         for i, layer in enumerate(after):
             if layer.state.param.ndim != 2:
@@ -680,7 +680,7 @@ def _sweep_cell(cfg: ExperimentConfig, spec: ModelSpec, params: ParamSet,
     layers, steps_done, _ = _run(
         _train(cfg, spec, layers, batches, replace(cfg.hp, eta=eta)), layers,
         lambda t, eta_t, loss, *_: not math.isfinite(loss) or loss > DIVERGENCE_LOSS)
-    final_loss = (loss_and_grad(spec, _params_as_set(layers), first_batch)[0]
+    final_loss = (loss_and_grad(spec, _params_of(layers), first_batch)[0]
                   if steps_done == cfg.steps else math.inf)
     diverged = not (math.isfinite(final_loss) and final_loss <= DIVERGENCE_LOSS)
     return [opt_kind, float(eta), math.inf if diverged else float(final_loss),

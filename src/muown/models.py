@@ -36,38 +36,17 @@ MODEL_DIMS = {"quadratic": ("m", "n"), "logistic": ("features",),
 _ROW_FLOOR_FRAC = 0.05
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
-    value: np.ndarray
+class ParamSet(dict):
+    """A model's parameter arrays by name, in model order; names are unique."""
 
-
-class ParamSet:
-    """Ordered collection of uniquely named parameters."""
-
-    def __init__(self, params):
-        params = tuple(params)
-        names = [p.name for p in params]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate parameter names in {names}")
-        self.params = params
-
-    def __iter__(self):
-        return iter(self.params)
-
-    def __len__(self):
-        return len(self.params)
-
-    def __getitem__(self, key):
-        if isinstance(key, int):
-            return self.params[key]
-        for p in self.params:
-            if p.name == key:
-                return p
-        raise KeyError(key)
+    def __init__(self, pairs):
+        pairs = list(pairs)
+        super().__init__(pairs)
+        if len(self) != len(pairs):
+            raise ValueError(f"duplicate parameter names in {[n for n, _ in pairs]}")
 
     def named_values(self):
-        return [(p.name, p.value) for p in self.params]
+        return list(self.items())
 
 
 @dataclass(frozen=True)
@@ -116,16 +95,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mlp2_forward(params: ParamSet, x: np.ndarray):
-    w1, b1, w2, b2 = (params[k].value for k in ("W1", "b1", "W2", "b2"))
+def _mlp2_forward(params, x: np.ndarray):
+    w1, b1, w2, b2 = (params[k] for k in ("W1", "b1", "W2", "b2"))
     hidden = np.tanh(x.dot(w1.T) + b1)
     return hidden.dot(w2.T) + b2, hidden
 
 
-def loss_and_grad(spec: ModelSpec, params: ParamSet, batch: Optional[Batch]):
-    """Scalar loss plus analytic gradients, aligned with the parameter order."""
+def loss_and_grad(spec: ModelSpec, params, batch: Optional[Batch]):
+    """Scalar loss and analytic gradients of a name -> array mapping, in its order."""
     if spec.kind == "quadratic":
-        w = params["W"].value
+        w = params["W"]
         diff = w - spec.target
         return float(0.5 * (diff * diff).sum()), [diff]
 
@@ -134,8 +113,7 @@ def loss_and_grad(spec: ModelSpec, params: ParamSet, batch: Optional[Batch]):
     x, y = batch.inputs, batch.targets
 
     if spec.kind == "logistic":
-        w = params["w"].value  # 1 x d
-        z = x @ w[0]
+        z = x @ params["w"][0]  # w is 1 x d
         margin = -y * z
         loss = float(np.logaddexp(0.0, margin).mean())
         coeff = -y * _sigmoid(margin) / x.shape[0]
@@ -147,13 +125,13 @@ def loss_and_grad(spec: ModelSpec, params: ParamSet, batch: Optional[Batch]):
         bsz = x.shape[0]
         loss = float(0.5 * (resid * resid).sum() / bsz)
         dpred = resid / bsz
-        w2 = params["W2"].value
         d_w2 = dpred.T.dot(hidden)
         d_b2 = dpred.sum(axis=0)
-        dhid = dpred.dot(w2) * (1.0 - hidden * hidden)
+        dhid = dpred.dot(params["W2"]) * (1.0 - hidden * hidden)
         d_w1 = dhid.T.dot(x)
         d_b1 = dhid.sum(axis=0)
-        return loss, [d_w1, d_b1, d_w2, d_b2]
+        grads = {"W1": d_w1, "b1": d_b1, "W2": d_w2, "b2": d_b2}
+        return loss, [grads[k] for k in params]
 
     raise ValueError(f"unknown model kind {spec.kind!r}")
 
@@ -188,16 +166,16 @@ def _init_matrix(stream: SplitMix64, m: int, n: int) -> np.ndarray:
 def init_params(kind: str, dims: dict, seed: int) -> ParamSet:
     stream = SplitMix64(derive_seed(seed, 0x1217))
     if kind == "quadratic":
-        return ParamSet([Param("W", _init_matrix(stream, dims["m"], dims["n"]))])
+        return ParamSet([("W", _init_matrix(stream, dims["m"], dims["n"]))])
     if kind == "logistic":
-        return ParamSet([Param("w", _init_matrix(stream, 1, dims["features"]))])
+        return ParamSet([("w", _init_matrix(stream, 1, dims["features"]))])
     if kind == "mlp2":
         d_in, hidden, d_out = dims["d_in"], dims["hidden"], dims["d_out"]
         return ParamSet([
-            Param("W1", _init_matrix(stream, hidden, d_in)),
-            Param("b1", stream.uniform_array((hidden,), -0.1, 0.1)),
-            Param("W2", _init_matrix(stream, d_out, hidden)),
-            Param("b2", stream.uniform_array((d_out,), -0.1, 0.1)),
+            ("W1", _init_matrix(stream, hidden, d_in)),
+            ("b1", stream.uniform_array((hidden,), -0.1, 0.1)),
+            ("W2", _init_matrix(stream, d_out, hidden)),
+            ("b2", stream.uniform_array((d_out,), -0.1, 0.1)),
         ])
     raise ValueError(f"unknown model kind {kind!r}")
 
@@ -264,7 +242,7 @@ def epoch_order(num_batches: int, seed: int, epoch: int) -> list[int]:
     return SplitMix64(derive_seed(seed, 0x0D0E, epoch)).permutation(num_batches)
 
 
-def full_dataset_gradient(spec: ModelSpec, params: ParamSet, batches,
+def full_dataset_gradient(spec: ModelSpec, params, batches,
                           per_batch: Optional[list] = None):
     """Mean loss and gradients over equal-size batches (the 'true' oracle).
     Each batch's gradients are also appended to ``per_batch`` if given."""

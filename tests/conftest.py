@@ -1,4 +1,4 @@
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -88,21 +88,9 @@ def frobenius_norm(a) -> float:
 
 
 def with_value(params: ParamSet, name: str, value: np.ndarray) -> ParamSet:
-    out = []
-    hit = False
-    for p in params:
-        if p.name == name:
-            if value.shape != p.value.shape:
-                raise ValueError(
-                    f"shape {value.shape} != {p.value.shape} for param {name!r}"
-                )
-            out.append(replace(p, value=value))
-            hit = True
-        else:
-            out.append(p)
-    if not hit:
-        raise KeyError(name)
-    return ParamSet(out)
+    if value.shape != params[name].shape:
+        raise ValueError(f"shape {value.shape} != {params[name].shape} for param {name!r}")
+    return ParamSet({**params, name: value}.items())
 
 
 def finite_difference_grad(spec: ModelSpec, params: ParamSet, batch: Optional[Batch],
@@ -111,18 +99,18 @@ def finite_difference_grad(spec: ModelSpec, params: ParamSet, batch: Optional[Ba
     if h <= 0:
         raise ValueError("h must be positive")
     grads = []
-    for p in params:
-        flat = p.value.ravel().copy()
+    for name, value in params.items():
+        flat = value.ravel().copy()
         out = np.zeros_like(flat)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
-            lp, _ = loss_and_grad(spec, with_value(params, p.name, flat.reshape(p.value.shape)), batch)
+            lp, _ = loss_and_grad(spec, with_value(params, name, flat.reshape(value.shape)), batch)
             flat[i] = orig - h
-            lm, _ = loss_and_grad(spec, with_value(params, p.name, flat.reshape(p.value.shape)), batch)
+            lm, _ = loss_and_grad(spec, with_value(params, name, flat.reshape(value.shape)), batch)
             flat[i] = orig
             out[i] = (lp - lm) / (2.0 * h)
-        grads.append(out.reshape(p.value.shape))
+        grads.append(out.reshape(value.shape))
     return grads
 
 

@@ -202,9 +202,9 @@ class TestNoiseCoefficients:
             "mlp2", {"d_in": 4, "hidden": 6, "d_out": 2}, seed=17,
             num_batches=8, batch_size=4)
         _, true_grads = full_dataset_gradient(spec, params, batches)
-        w1_idx = [p.name for p in params].index("W1")
+        w1_idx = list(params).index("W1")
         samples = [loss_and_grad(spec, params, b)[1][w1_idx] for b in batches]
-        view = init_view(params["W1"].value)
+        view = init_view(params["W1"])
         rep = noise_coefficients(true_grads[w1_idx], samples, view)
 
         tg = grad_g(true_grads[w1_idx], view.D)

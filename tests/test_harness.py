@@ -234,7 +234,7 @@ class TestPresets:
     def test_noise_compare_zero_variance_dataset(self, tmp_path):
         # single repeated batch -> every sigma is exactly zero
         from muown import models as mmodels
-        from muown.harness import _params_as_set
+        from muown.harness import _params_of
         from muown.optimizers import init_layers
         from muown.diagnostics import noise_coefficients
         from muown.reparam import view_from_state
@@ -243,7 +243,7 @@ class TestPresets:
             num_batches=2, batch_size=4)
         layers = init_layers(params.named_values())
         same = [batches[0], batches[0]]
-        pset = _params_as_set(layers)
+        pset = _params_of(layers)
         _, true_grads = mmodels.full_dataset_gradient(spec, pset, same)
         sample_grads = [mmodels.loss_and_grad(spec, pset, b)[1] for b in same]
         for i, layer in enumerate(layers):

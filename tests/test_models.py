@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from muown import models
 from muown.models import (
     Batch,
-    Param,
     ParamSet,
     epoch_order,
     full_dataset_gradient,
@@ -52,7 +51,7 @@ class TestQuadratic:
         target = rng.standard_normal((3, 4))
         spec = quadratic_spec(target)
         w = rng.standard_normal((3, 4))
-        params = ParamSet([Param("W", w)])
+        params = ParamSet([("W", w)])
         loss, grads = loss_and_grad(spec, params, None)
         assert loss == pytest.approx(0.5 * np.sum((w - target) ** 2), rel=1e-14)
         assert np.array_equal(grads[0], w - target)
@@ -62,7 +61,7 @@ class TestQuadratic:
         # zero third derivative: central differences are exact up to roundoff
         target = rng.standard_normal((2, 3))
         spec = quadratic_spec(target)
-        params = ParamSet([Param("W", rng.standard_normal((2, 3)))])
+        params = ParamSet([("W", rng.standard_normal((2, 3)))])
         _, grads = loss_and_grad(spec, params, None)
         fd = finite_difference_grad(spec, params, None, h=1e-4)
         assert np.allclose(fd[0], grads[0], rtol=0, atol=1e-10)
@@ -87,7 +86,7 @@ class TestLogistic:
         # a few hundred sign steps beat chance loss ln(2) comfortably
         spec, params, batches = make_model("logistic", {"features": 6}, seed=3,
                                            num_batches=4, batch_size=32)
-        w = params["w"].value.copy()
+        w = params["w"].copy()
         for t in range(300):
             loss, grads = loss_and_grad(spec, with_value(params, "w", w),
                                         batches[t % 4])
@@ -107,12 +106,12 @@ class TestMlp2:
         batch = batches[0]
         _, grads = loss_and_grad(spec, params, batch)
         fd = finite_difference_grad(spec, params, batch, h=1e-5)
-        for analytic, numeric, p in zip(grads, fd, params):
+        for analytic, numeric, name in zip(grads, fd, params):
             flat_a, flat_n = analytic.ravel(), numeric.ravel()
             idx = rng.permutation(flat_a.size)[:min(20, flat_a.size)]
             assert len(idx) >= min(20, flat_a.size)
             for i in idx:
-                assert flat_n[i] == pytest.approx(flat_a[i], rel=1e-6, abs=1e-9), p.name
+                assert flat_n[i] == pytest.approx(flat_a[i], rel=1e-6, abs=1e-9), name
 
     def test_fd_error_shrinks_quadratically(self):
         spec, params, batches = make_model("mlp2", MLP_DIMS, seed=11,
@@ -139,20 +138,20 @@ class TestMlp2:
             ref_loss, ref_grads = _mlp2_matmul_loss_and_grad(params, batch)
             assert loss == ref_loss
             assert len(grads) == len(ref_grads) == 4
-            for g, ref, p in zip(grads, ref_grads, params):
-                assert bitwise_equal(g, ref), p.name
+            for g, ref, name in zip(grads, ref_grads, params):
+                assert bitwise_equal(g, ref), name
 
     def test_init_rows_nonzero(self):
         params = init_params("mlp2", MLP_DIMS, seed=0)
-        for p in params:
-            if p.value.ndim == 2:
-                assert np.all(row_norms(p.value) > 0)
+        for value in params.values():
+            if value.ndim == 2:
+                assert np.all(row_norms(value) > 0)
 
 
 def _mlp2_matmul_loss_and_grad(params, batch):
     """mlp2's loss and gradients as first written, every product an ``@``:
     the bitwise reference for ``loss_and_grad``."""
-    w1, b1, w2, b2 = (params[k].value for k in ("W1", "b1", "W2", "b2"))
+    w1, b1, w2, b2 = (params[k] for k in ("W1", "b1", "W2", "b2"))
     x, y = batch.inputs, batch.targets
     hidden = np.tanh(x @ w1.T + b1)
     pred = hidden @ w2.T + b2
@@ -239,12 +238,43 @@ class TestSynthData:
 
 
 class TestParamSet:
+    @pytest.mark.parametrize("kind, dims, shapes", [
+        ("mlp2", MLP_DIMS, {"W1": (7, 5), "b1": (7,), "W2": (3, 7), "b2": (3,)}),
+        ("quadratic", {"m": 3, "n": 4}, {"W": (3, 4)}),
+        ("logistic", {"features": 4}, {"w": (1, 4)}),
+    ])
+    def test_named_values_list_the_arrays_in_model_order(self, kind, dims, shapes):
+        # init_layers(params.named_values()) and the gradient order rest on this
+        pairs = init_params(kind, dims, seed=0).named_values()
+        assert [name for name, _ in pairs] == list(shapes)
+        assert all(type(value) is np.ndarray for _, value in pairs)
+        assert [value.shape for _, value in pairs] == list(shapes.values())
+
     def test_duplicate_names_rejected(self, rng):
         with pytest.raises(ValueError):
-            ParamSet([Param("a", rng.standard_normal(2)),
-                      Param("a", rng.standard_normal(2))])
+            ParamSet([("a", rng.standard_normal(2)), ("a", rng.standard_normal(2))])
 
     def test_with_value_shape_checked(self, rng):
-        ps = ParamSet([Param("a", rng.standard_normal((2, 2)))])
+        ps = ParamSet([("a", rng.standard_normal((2, 2)))])
         with pytest.raises(ValueError):
             with_value(ps, "a", np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("kind, dims", [
+        ("mlp2", MLP_DIMS), ("quadratic", {"m": 3, "n": 4}), ("logistic", {"features": 4}),
+    ])
+    def test_loss_and_grad_takes_a_plain_dict_bitwise(self, kind, dims):
+        spec, params, batches = make_model(kind, dims, seed=5, num_batches=2, batch_size=8)
+        loss, grads = loss_and_grad(spec, params, batches[0])
+        plain_loss, plain_grads = loss_and_grad(spec, dict(params.named_values()), batches[0])
+        assert plain_loss == loss and len(plain_grads) == len(grads) == len(params)
+        for g, plain in zip(grads, plain_grads):
+            assert bitwise_equal(plain, g)
+
+    def test_gradients_follow_the_mapping_order(self):
+        spec, params, batches = make_model("mlp2", MLP_DIMS, seed=5, num_batches=1,
+                                           batch_size=8)
+        _, grads = loss_and_grad(spec, params, batches[0])
+        reordered = dict(reversed(params.named_values()))
+        _, back = loss_and_grad(spec, reordered, batches[0])
+        for g, b in zip(grads, reversed(back)):
+            assert bitwise_equal(b, g)

@@ -45,8 +45,8 @@ def _mlp_problem(matrix_kind, seed=4):
 
 
 def _grads_for(spec, layers, batch):
-    from muown.models import Param, ParamSet
-    pset = ParamSet(Param(l.name, l.state.param) for l in layers)
+    from muown.models import ParamSet
+    pset = ParamSet((l.name, l.state.param) for l in layers)
     _, grads = loss_and_grad(spec, pset, batch)
     return grads
 
