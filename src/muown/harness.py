@@ -21,13 +21,13 @@ import pickle
 import signal
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from typing import Callable, Iterator, Optional
 
 import numpy as np
 
 from . import models, optimizers
-from .diagnostics import dual_norm, noise_coefficients, spectral_decomposition
+from .diagnostics import NoiseReport, dual_norm, noise_coefficients, spectral_decomposition
 from .errors import ConfigError, NonFiniteError, StepAllError, ZeroRowError
 from .linalg import row_norms, singular_values, vec_l1, nuclear_norm
 from .models import Batch, ModelSpec, ParamSet, loss_and_grad
@@ -478,44 +478,19 @@ def preset_drift(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     bitwise-identical initial weights. Drift magnitudes for the other two
     runs are logged, not asserted.
     """
-    variants = ("muon", "muown_fixed", "muown")
-    assertions = []
-    inits: dict[str, list[np.ndarray]] = {}
-    init_norms: dict[str, list[Optional[np.ndarray]]] = {}
-    coherence_ok = True
-    fixed_dev = 0.0
-
-    for kind in variants:
-        sub = os.path.join(out_dir, kind) if out_dir else None
-        run_cfg = replace(cfg, optimizer_kind=kind,
-                          hp=replace(cfg.hp, weight_decay=0.0))
-
-        def probe(t, before, after, loss, grads):
-            # called only by this iteration's run, so ``kind`` is still this run's
-            nonlocal fixed_dev
-            if t == 0:
-                inits[kind] = [b.state.param.copy() for b in before]
-                init_norms[kind] = [row_norms(w) if w.ndim == 2 else None
-                                    for w in inits[kind]]
-            if kind != "muown_fixed":
-                return
-            for g0, layer in zip(init_norms[kind], after):
-                if g0 is not None:
-                    dev = np.max(np.abs(row_norms(layer.state.param) - g0) / g0)
-                    fixed_dev = max(fixed_dev, float(dev))
-
-        log = run_experiment(run_cfg, sub, probe=probe)
-        if "failure" in log.summary:
-            assertions.append(_completed(f"{kind}_run_completed", log.summary))
-        for row in log.rows:
-            for ci, col in enumerate(log.columns):
-                if col.endswith(".coherence") and row[ci] < 1.0 - 1e-9:
-                    coherence_ok = False
-
-    same_start = len(inits) == len(variants) and all(
-        all(np.array_equal(a, b) for a, b in zip(inits["muon"], inits[k]))
-        for k in ("muown_fixed", "muown")
-    )
+    runs = {kind: _drift_run(replace(cfg, optimizer_kind=kind,
+                                     hp=replace(cfg.hp, weight_decay=0.0)),
+                             os.path.join(out_dir, kind) if out_dir else None)
+            for kind in ("muon", "muown_fixed", "muown")}
+    assertions = [_completed(f"{kind}_run_completed", log.summary)
+                  for kind, (log, _, _) in runs.items() if "failure" in log.summary]
+    fixed_dev = runs["muown_fixed"][2]
+    coherent = not any(row[ci] < 1.0 - 1e-9 for log, _, _ in runs.values()
+                       for row in log.rows for ci, col in enumerate(log.columns)
+                       if col.endswith(".coherence"))
+    starts = [start for _, start, _ in runs.values()]
+    same_start = None not in starts and all(
+        all(np.array_equal(a, b) for a, b in zip(starts[0], start)) for start in starts[1:])
     assertions.append({
         "name": "fixed_row_norms_constant_1e-10",
         "pass": fixed_dev <= 1e-10,
@@ -523,15 +498,35 @@ def preset_drift(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     })
     assertions.append({
         "name": "coherence_lower_bound",
-        "pass": coherence_ok,
+        "pass": coherent,
         "detail": "coherence >= 1 - 1e-9 at every logged step for all variants",
     })
     assertions.append({
         "name": "shared_bitwise_start",
-        "pass": bool(same_start),
+        "pass": same_start,
         "detail": "all variants start from identical initial weights",
     })
     return _write_verdict(out_dir, "drift", assertions)
+
+
+def _drift_run(cfg: ExperimentConfig, out_dir: Optional[str]):
+    """One drift variant: ``(log, start, dev)``, the RunLog of ``cfg``'s run,
+    the weights it started from (None if it took no step), and, for a
+    muown_fixed run, the largest relative deviation of a matrix row norm from
+    its start over the steps taken (0.0 for the other kinds)."""
+    start, norms, devs = [], [], [0.0]
+
+    def probe(t, before, after, loss, grads):
+        if t == 0:
+            start.extend(layer.state.param.copy() for layer in before)
+            if cfg.optimizer_kind == "muown_fixed":
+                norms.extend((i, row_norms(w)) for i, w in enumerate(start) if w.ndim == 2)
+        devs.extend(float(np.max(np.abs(row_norms(after[i].state.param) - g0) / g0))
+                    for i, g0 in norms)
+
+    log = run_experiment(cfg, out_dir, probe=probe)
+    # max keeps the first of equal or unordered values, so a NaN deviation is skipped
+    return log, start or None, max(devs)
 
 
 def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
@@ -552,8 +547,7 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
 
     for horizon in cfg.rate_horizons:
         step_size = math.sqrt(delta1 / (big_l * horizon))
-        hp = HyperParams(eta=step_size, gamma=step_size, beta1=0.0,
-                         backend="polar", rms_scale_on=False)
+        hp = HyperParams(eta=step_size, gamma=step_size, beta1=0.0, backend="polar")
         run_cfg = replace(cfg, steps=horizon, schedule=ScheduleSpec())
         # Per step: the loss before it, its dual gradient norm and its descent
         # bound. The loss _train takes before step t + 1 is the loss after step
@@ -577,8 +571,7 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
         all_rows += [[horizon, t + 1, float(loss), float(dual), float(slack)]
                      for t, (loss, dual, slack) in enumerate(zip(losses, duals, slacks))]
         if failure:
-            assertions.append({"name": f"run_completed_T{horizon}", "pass": False,
-                               "detail": _stopped(failure)})
+            assertions.append(_completed(f"run_completed_T{horizon}", {"failure": failure}))
             continue
         worst_slack = max(slacks)
         avg_dual = sum(duals) / horizon
@@ -626,15 +619,12 @@ def preset_noise_compare(cfg: ExperimentConfig, out_dir: Optional[str] = None) -
             where[0] = layer.name
             report = noise_coefficients(
                 true_grads[i], [s[i] for s in sample_grads], _view_of(layer.state))
-            rows.append([step, layer.name, report.sigma_W, report.sigma_g,
-                         report.sigma_R, report.zeta_W, report.zeta_g,
-                         report.zeta_R, report.muon_coeff, report.muown_coeff])
+            rows.append([step, layer.name, *astuple(report)])
 
     _, _, failure = _run(_train(cfg, spec, layers, batches, cfg.hp), layers, on_step)
     ok = not failure and len(rows) > 0 and all(
         all(math.isfinite(v) and v >= 0.0 for v in r[2:]) for r in rows)
-    _write_run(out_dir, ["step", "layer", "sigma_W", "sigma_g", "sigma_R", "zeta_W",
-                         "zeta_g", "zeta_R", "muon_coeff", "muown_coeff"],
+    _write_run(out_dir, ["step", "layer", *(f.name for f in fields(NoiseReport))],
                rows, {"preset": "noise-compare", "reports": len(rows)})
     assertions = [{
         "name": "noise_reports_computed",
@@ -712,12 +702,6 @@ def _map_cells(cell: Callable, cells: list) -> list:
 # worker processes
 
 
-# The read ends of the pipes of every live _Child of this process. A new child
-# closes them, so that each child's next write fails once its caller has
-# closed its end or died, whichever children were forked after it.
-_OPEN_ENDS: set[int] = set()
-
-
 class _Child:
     """The items of the iterator ``make()`` returns, made in a forked child
     process: the one fork, pipe, pickle and reap protocol of this module.
@@ -735,10 +719,12 @@ class _Child:
     skips the items it already has, unwarned.
 
     Use it as a context manager, which kills the child, if still there, and
-    reaps it. A child whose caller has died ends at its next item. Forked, not
-    spawned, so that no child rebuilds the model; the only threads a caller
-    may hold are ``step_all``'s idle pool, which a child replaces
-    (``optimizers._pool``), and OpenBLAS's, which it restarts after a fork.
+    reaps it. A child keeps only its own pipe end, so no sibling holds that
+    pipe open after the caller dies: a child whose caller has died ends at its
+    next item. Forked, not spawned, so that no child rebuilds the model; the
+    only threads a caller may hold are ``step_all``'s idle pool, which a child
+    replaces (``optimizers._pool``), and OpenBLAS's, which it restarts after a
+    fork.
     """
 
     def __init__(self, make: Callable[[], Iterator]):
@@ -759,17 +745,15 @@ class _Child:
             os.close(write)
             return
         if pid == 0:
-            _run_child(make, read, write)
+            _run_child(make, write)
         os.close(write)
         self.pid, self.read = pid, os.fdopen(read, "rb")
-        _OPEN_ENDS.add(read)
 
     def __enter__(self) -> "_Child":
         return self
 
     def __exit__(self, *_) -> None:
         if self.pid is not None:
-            _OPEN_ENDS.discard(self.read.fileno())
             self.read.close()
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
@@ -800,16 +784,18 @@ class _Child:
         yield from items
 
 
-def _run_child(make: Callable[[], Iterator], read: int, write: int) -> None:
+def _run_child(make: Callable[[], Iterator], write: int) -> None:
     """The forked side of ``_Child``: pickle ``(warnings, kind, payload)`` onto
     pipe ``write`` for each item of ``make()``, then for its end or its error,
     and ``os._exit``. A message it cannot write whole ends it there, so that
-    the caller makes the rest."""
+    the caller makes the rest. It first closes every descriptor it inherited
+    but 0-2 and ``write``, so that it holds no read end, its own or an older
+    sibling's: each child's next write fails once its caller has died,
+    whichever siblings are still alive."""
     code = 1
     try:
-        for fd in (read, *_OPEN_ENDS):
-            os.close(fd)
-        _OPEN_ENDS.clear()
+        os.closerange(3, write)
+        os.closerange(write + 1, os.sysconf("SC_OPEN_MAX"))
         out = os.fdopen(write, "wb")
         caught: list[tuple] = []  # the warnings shown since the last message
         warnings.showwarning = _keeper(caught)

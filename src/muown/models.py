@@ -187,34 +187,25 @@ def synth_data(kind: str, dims: dict, seed: int, num_batches: int,
         raise ValueError("num_batches and batch_size must be >= 1")
     stream = SplitMix64(derive_seed(seed, 0xDA7A))
     total = num_batches * batch_size
-    batches = []
 
     if kind == "quadratic":
         # Data-free objective; emit placeholder batches so drivers can cycle.
         return [Batch(np.zeros((1, 1)), np.zeros((1, 1))) for _ in range(num_batches)]
-
     if kind == "logistic":
         d = dims["features"]
         planted = stream.gaussian_array((d,)) / np.sqrt(d)
         x = stream.gaussian_array((total, d))
         noise = stream.gaussian_array((total,))
         y = np.where(x @ planted + 0.3 * noise >= 0.0, 1.0, -1.0)
-        for i in range(num_batches):
-            sl = slice(i * batch_size, (i + 1) * batch_size)
-            batches.append(Batch(x[sl].copy(), y[sl].copy()))
-        return batches
-
-    if kind == "mlp2":
+    elif kind == "mlp2":
         teacher = init_params("mlp2", dims, derive_seed(seed, 0x7EAC))
         x = stream.gaussian_array((total, dims["d_in"]))
         clean, _ = _mlp2_forward(teacher, x)
         y = clean + 0.05 * stream.gaussian_array(clean.shape)
-        for i in range(num_batches):
-            sl = slice(i * batch_size, (i + 1) * batch_size)
-            batches.append(Batch(x[sl].copy(), y[sl].copy()))
-        return batches
-
-    raise ValueError(f"unknown model kind {kind!r}")
+    else:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return [Batch(x[i * batch_size:(i + 1) * batch_size].copy(),
+                  y[i * batch_size:(i + 1) * batch_size].copy()) for i in range(num_batches)]
 
 
 def make_model(kind: str, dims: dict, seed: int, num_batches: int = 8,

@@ -170,6 +170,17 @@ class TestPresets:
         assert "fixed_row_norms_constant_1e-10" in names
         assert json.load(open(tmp_path / "verdict.json"))["pass"]
 
+    def test_drift_verdict_when_every_variant_fails_its_first_step(self, tmp_path):
+        cfg = config_from_dict(apply_overrides({}, ["steps=6", "optimizer.eta=1e300"]),
+                               preset="drift")
+        verdict = run_preset(cfg, str(tmp_path))
+        # no variant took a step, so none has a start to compare
+        assert {a["name"]: a["pass"] for a in verdict["assertions"]} == {
+            "muon_run_completed": False, "muown_fixed_run_completed": False,
+            "muown_run_completed": False, "fixed_row_norms_constant_1e-10": True,
+            "coherence_lower_bound": True, "shared_bitwise_start": False}
+        assert not verdict["pass"]
+
     def test_rate_check_verdict(self, tmp_path):
         cfg = ExperimentConfig(preset="rate-check", rate_horizons=(100, 400))
         verdict = run_preset(cfg, str(tmp_path))
@@ -607,6 +618,7 @@ class TestMetricsWorker:
         pytest.param("single", ["steps=30", "log_every=4", "checkpoint_every=6",
                                 "optimizer.kind=muon"], id="single-muon-every-4"),
         pytest.param("drift", ["steps=40", "log_every=3"], id="drift"),
+        pytest.param("drift", ["steps=6", "optimizer.eta=1e300"], id="drift-fails"),
         # the two runs of TestCli::test_failed_run_exits_1_with_a_verdict
         pytest.param("single", ["optimizer.kind=adamw", "optimizer.eta=1e300", "steps=5"],
                      id="metrics-fail"),
@@ -866,6 +878,59 @@ class TestTrainingChild:
             proc.wait()
             proc.stdout.close()
             if child is not None:
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(child, signal.SIGKILL)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+    def test_a_live_sibling_does_not_keep_a_dead_callers_child_running(self, tmp_path):
+        # three workers share 108 cells of 3,000 steps. The caller stalls in its
+        # first cell and the second child in every cell; once the caller is
+        # killed, the first child fails its next write and leaves, though the
+        # second child, forked after it, is still alive
+        code = textwrap.dedent("""
+            import os, sys, time
+            from muown import cli, harness, optimizers
+            optimizers._workers = lambda: 3
+            caller, fork, cell, children = os.getpid(), os.fork, harness._sweep_cell, []
+
+            def forked():
+                pid = fork()
+                if pid:
+                    children.append(pid)
+                    print("child", pid, flush=True)
+                return pid
+
+            def stalled(*args):
+                if os.getpid() == caller:
+                    print("stall", flush=True)
+                if children:  # the caller and the second child; the first has none
+                    time.sleep(120)
+                return cell(*args)
+
+            os.fork, harness._sweep_cell = forked, stalled
+            sys.exit(cli.main(sys.argv[1:]))
+        """)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "run", "lr-sweep", "--set", "steps=3000",
+             "--set", "lr_sweep.log2_min=-40", "--out", str(tmp_path)],
+            stdout=subprocess.PIPE, text=True, env=env)
+        children = []
+        try:
+            children = [int(proc.stdout.readline().split()[1]) for _ in range(2)]
+            assert proc.stdout.readline() == "stall\n"
+            proc.kill()
+            proc.wait()
+            deadline = time.monotonic() + 8
+            while _running(children[0]) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not _running(children[0])
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            for child in children:
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(child, signal.SIGKILL)
 

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -214,6 +217,27 @@ class TestSynthData:
         a = synth_data("mlp2", MLP_DIMS, seed=5, num_batches=1, batch_size=4)
         b = synth_data("mlp2", MLP_DIMS, seed=6, num_batches=1, batch_size=4)
         assert not np.array_equal(a[0].inputs, b[0].inputs)
+
+    def test_batches_are_the_recorded_bytes(self):
+        digest = hashlib.sha256()
+        for kind, dims in (("quadratic", {"m": 3, "n": 4}), ("logistic", {"features": 4}),
+                           ("mlp2", MLP_DIMS)):
+            for b in synth_data(kind, dims, seed=3, num_batches=3, batch_size=4):
+                digest.update(b.inputs.tobytes())
+                digest.update(b.targets.tobytes())
+        assert digest.hexdigest() == (
+            "5bf2aa45d2d11917644042269215ea60164571d87ad7b99cd4e70603373fe3c5")
+
+    @pytest.mark.parametrize("kind, dims", [("quadratic", {"m": 3, "n": 4}),
+                                            ("logistic", {"features": 4}),
+                                            ("mlp2", MLP_DIMS)])
+    def test_each_batch_owns_its_memory(self, kind, dims):
+        # no batch is a view that keeps the whole draw alive, and no two batches share
+        arrays = [a for b in synth_data(kind, dims, seed=3, num_batches=3, batch_size=4)
+                  for a in (b.inputs, b.targets)]
+        assert all(a.flags.owndata for a in arrays)
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
 
     def test_batch_invariants(self):
         with pytest.raises(ValueError):
