@@ -375,17 +375,19 @@ def _train(cfg: ExperimentConfig, spec: ModelSpec, layers: list[Layer],
     """Yield ``(t, eta_t, loss, grads, layers)`` per step, ``layers`` as stepped.
 
     The one training loop of every preset: batches in one ``epoch_order`` per
-    epoch, the schedule's rate scaled from ``hp.eta``, loss and gradients at
-    the current parameters, then ``step_all``, whose StepAllError ends the
-    iteration before step ``t`` is yielded.
+    epoch, the schedule's rates scaled from ``hp.eta`` and a set ``hp.gamma``,
+    loss and gradients at the current parameters, then ``step_all``, whose
+    StepAllError ends the iteration before step ``t`` is yielded.
     """
     for t in range(cfg.steps):
         epoch, slot = divmod(t, len(batches))
         if slot == 0:
             order = models.epoch_order(len(batches), cfg.seed, epoch)
         eta_t = eta_at(cfg.schedule, t, cfg.steps, hp.eta)
+        gamma_t = None if hp.gamma is None else eta_at(cfg.schedule, t, cfg.steps, hp.gamma)
         loss, grads = loss_and_grad(spec, _params_of(layers), batches[order[slot]])
-        step_hp = hp if eta_t == hp.eta else replace(hp, eta=eta_t)
+        step_hp = hp if (eta_t, gamma_t) == (hp.eta, hp.gamma) else replace(
+            hp, eta=eta_t, gamma=gamma_t)
         layers = step_all(layers, grads, step_hp)
         yield t, eta_t, loss, grads, layers
 
@@ -706,25 +708,23 @@ class _Child:
     """The items of the iterator ``make()`` returns, made in a forked child
     process: the one fork, pipe, pickle and reap protocol of this module.
 
-    With two or more workers (``optimizers._workers``), ``_Child(make)`` forks
-    a child that runs ``make()`` and pickles each item onto one pipe as soon as
-    it is made, then leaves by ``os._exit``, which flushes none of the caller's
-    buffers and runs no atexit hook. Iterating the ``_Child`` in the caller
-    takes the items in order. It issues the warnings the child showed making
-    an item when it takes that item, and raises ``make()``'s error at its
-    place in the stream; one that does not survive a pickle round trip comes
-    back as ``RuntimeError("<Type>: <message>")``. With one worker, no fork, a
-    fork that raises OSError, or a child lost mid-stream (a child that cannot
-    pickle an item whole ends there), the iteration runs ``make()`` here and
-    skips the items it already has, unwarned.
+    With two or more workers (``optimizers._workers``, which is 1 in a forked
+    process, so a child forks none), ``_Child(make)`` forks a child that runs
+    ``make()`` and pickles each item onto one pipe as soon as it is made, then
+    leaves by ``os._exit``, which flushes none of the caller's buffers and runs
+    no atexit hook. Iterating the ``_Child`` in the caller takes the items in
+    order. It issues the warnings the child showed making an item when it takes
+    that item, and raises ``make()``'s error at its place in the stream; one
+    that does not survive a pickle round trip comes back as
+    ``RuntimeError("<Type>: <message>")``. With one worker, no fork, a fork
+    that raises OSError, or a child lost mid-stream (a child that cannot pickle
+    an item whole ends there), the iteration runs ``make()`` here and skips the
+    items it already has, unwarned.
 
     Use it as a context manager, which kills the child, if still there, and
     reaps it. A child keeps only its own pipe end, so no sibling holds that
     pipe open after the caller dies: a child whose caller has died ends at its
-    next item. Forked, not spawned, so that no child rebuilds the model; the
-    only threads a caller may hold are ``step_all``'s idle pool, which a child
-    replaces (``optimizers._pool``), and OpenBLAS's, which it restarts after a
-    fork.
+    next item. Forked, not spawned, so that no child rebuilds the model.
     """
 
     def __init__(self, make: Callable[[], Iterator]):

@@ -49,6 +49,7 @@ only reads them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -379,7 +380,7 @@ def step_layer(layer: Layer, grad, hp: HyperParams) -> Layer:
 # to pay for a hand-off to a pool thread.
 HEAVY_SIZE = 1 << 14
 
-_POOL: Optional[tuple[int, int, ThreadPoolExecutor]] = None  # (pid, threads, pool)
+_PID = os.getpid()  # the importing process, the only one with more than one worker
 
 
 def _workers() -> int:
@@ -387,8 +388,11 @@ def _workers() -> int:
 
     Usable CPUs divided by the BLAS thread count, read as OpenBLAS reads it:
     the first positive ``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``;
-    with neither, BLAS uses every CPU and the answer is 1.
+    with neither, BLAS uses every CPU and the answer is 1. It is 1 too in a
+    forked process, which therefore neither pools nor forks.
     """
+    if os.getpid() != _PID:
+        return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
         os.cpu_count() or 1)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -401,19 +405,15 @@ def _workers() -> int:
     return 1
 
 
-def _pool(threads: int) -> ThreadPoolExecutor:
-    """The step pool with room for ``threads`` threads; made on first use, and
-    made afresh in a forked child, whose copy of the pool has no threads."""
+@functools.cache
+def _pool() -> ThreadPoolExecutor:
+    """The step pool, made on first use; it starts a thread only when a
+    submitted helper finds none idle. Only the importing process asks for it
+    (``_workers``), so no forked copy of it is ever used."""
     # imported here: concurrent.futures adds ~0.6 MB to a process that never pools
     from concurrent.futures import ThreadPoolExecutor
 
-    global _POOL
-    pid = os.getpid()
-    if _POOL is None or _POOL[0] != pid or _POOL[1] < threads:
-        if _POOL is not None and _POOL[0] == pid:
-            _POOL[2].shutdown(wait=False)
-        _POOL = (pid, threads, ThreadPoolExecutor(threads, "muown-step"))
-    return _POOL[2]
+    return ThreadPoolExecutor(thread_name_prefix="muown-step")
 
 
 def _step_cost(layer: Layer) -> int:
@@ -456,7 +456,7 @@ def step_all(layers, grads, hp: HyperParams) -> list[Layer]:
     threads = min(_workers(), heavy) - 1 if heavy >= 2 else 0
     if threads > 0:
         jobs = deque(sorted(range(len(layers)), key=lambda i: -_step_cost(layers[i])))
-        pool = _pool(threads)
+        pool = _pool()
         helpers = [pool.submit(_drain, jobs, run) for _ in range(threads)]
         _drain(jobs, run)
         for helper in helpers:

@@ -5,6 +5,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from muown import optimizers
 from muown.errors import NonFiniteError
 from muown.linalg import as_matrix, as_vector, check_finite, row_norms, svd
 from muown.models import Batch, ModelSpec, ParamSet, loss_and_grad
@@ -61,6 +62,24 @@ def write_record_failing_after(real, n: int):
         return real(fh, a)
 
     return write
+
+
+@pytest.fixture
+def pool_calls(monkeypatch) -> list:
+    """The helpers submitted to the real step pool, counted per ``_pool()`` call."""
+    calls, real = [], optimizers._pool
+
+    class Counting:
+        def submit(self, *job):
+            calls[-1] += 1
+            return real().submit(*job)
+
+    def spy():
+        calls.append(0)
+        return Counting()
+
+    monkeypatch.setattr(optimizers, "_pool", spy)
+    return calls
 
 
 # Reference helpers the package itself does not need: tests check the package

@@ -34,6 +34,7 @@ from muown.harness import (
     run_preset,
 )
 from muown.orthogonalize import AGGRESSIVE_COEFFS, CLASSIC_COEFFS
+from muown.schedule import eta_at
 
 
 def _read_csv(path):
@@ -160,6 +161,36 @@ class TestRunExperiment:
         assert (tmp_path / "ckpt_000002").is_dir()
         assert (tmp_path / "ckpt_000004").is_dir()
 
+    def test_a_set_gamma_follows_the_schedule(self, monkeypatch):
+        # one process, so that the spy sees every step
+        monkeypatch.setattr(optimizers, "_workers", lambda: 1)
+        rates = []
+        inner = harness.step_all
+
+        def spy(layers, grads, hp):
+            rates.append((hp.eta, hp.gamma))
+            return inner(layers, grads, hp)
+
+        monkeypatch.setattr(harness, "step_all", spy)
+        cfg = config_from_dict(_scheduled_signum(gamma=0.05))
+        run_experiment(cfg, None)
+        assert rates == [(eta_at(cfg.schedule, t, 10, 0.02), eta_at(cfg.schedule, t, 10, 0.05))
+                         for t in range(10)]
+        assert len({gamma for _, gamma in rates}) == 3  # a third, two thirds and all of 0.05
+
+    def test_gamma_equal_to_eta_logs_as_gamma_null(self, tmp_path):
+        for name, gamma in (("null", None), ("eta", 0.02)):
+            run_experiment(config_from_dict(_scheduled_signum(gamma)), str(tmp_path / name))
+        assert ((tmp_path / "null" / "log.csv").read_bytes()
+                == (tmp_path / "eta" / "log.csv").read_bytes())
+
+
+def _scheduled_signum(gamma) -> dict:
+    """muown_signum at eta = 0.02 for 10 steps of a schedule with 3 warmup and
+    3 decay steps."""
+    return {"steps": 10, "optimizer": {"kind": "muown_signum", "eta": 0.02, "gamma": gamma},
+            "schedule": {"kind": "wsd", "warmup_frac": 0.3, "decay_frac": 0.3}}
+
 
 class TestPresets:
     def test_drift_verdict(self, tmp_path):
@@ -194,6 +225,23 @@ class TestPresets:
         b400 = 4.0 * math.sqrt(1.0 / 400)
         assert b400 == pytest.approx(b100 / 2.0, rel=1e-15)
         assert run_preset(cfg, None)["pass"]
+
+    def test_a_failed_rate_check_horizon_leaves_the_others_their_assertions(self, monkeypatch):
+        alone = run_preset(ExperimentConfig(preset="rate-check", rate_horizons=(2,)), None)
+        real = optimizers.STEP_FNS["muown_signum"]
+
+        def third_step_fails(state, grad, hp):
+            if state.t == 2:
+                raise FloatingPointError("third step")
+            return real(state, grad, hp)
+
+        monkeypatch.setitem(optimizers.STEP_FNS, "muown_signum", third_step_fails)
+        verdict = run_preset(ExperimentConfig(preset="rate-check", rate_horizons=(3, 2)), None)
+        assert verdict["assertions"] == [
+            {"name": "run_completed_T3", "pass": False,
+             "detail": "stopped at step 3, layer W: FloatingPointError: third step"},
+            *alone["assertions"]]
+        assert not verdict["pass"]
 
     def test_rate_check_takes_each_loss_once(self, monkeypatch):
         counts = {"loss_and_grad": 0, "permutation": 0}
@@ -1079,6 +1127,26 @@ class TestCli:
         assert rc == 2
         field = overrides[-1].partition("=")[0]
         assert f"config error: {field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "optimizer.weight_decay=-1", "optimizer.beta1=1", "optimizer.adam_beta1=1",
+        "optimizer.adam_beta2=0.5", "optimizer.gamma=0", 'optimizer.backend="svd"',
+        "schedule.warmup_frac=1.5", "schedule.decay_frac=-0.1",
+    ])
+    def test_out_of_range_field_exits_2_naming_its_path(self, tmp_path, capsys, override):
+        # each range check's message starts with its field, which _replaced maps to the path
+        rc = cli_main(["run", "single", "--set", override, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        field = override.partition("=")[0]
+        assert f"config error: {field}: {field.rpartition('.')[2]} " in capsys.readouterr().err
+
+    def test_config_file_holding_a_list_exits_2(self, tmp_path, capsys):
+        listed = tmp_path / "list.json"
+        listed.write_text('[{"steps": 2}]')
+        rc = cli_main(["run", "single", "--config", str(listed), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "must hold a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_out_that_is_a_file_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "taken"

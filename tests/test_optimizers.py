@@ -755,6 +755,17 @@ class TestCheckpoint:
             load_checkpoint(tmp_path)
         assert str(tmp_path) in str(err.value)
 
+    def test_bytes_after_the_last_record_are_rejected(self, tmp_path):
+        layers, hp = _stepped_checkpoint_layers("muon", 3, 2, 1, 7)
+        save_checkpoint(tmp_path, layers, hp)
+        records = (tmp_path / "state.mwn1").read_bytes() + b"\0"
+        (tmp_path / "state.mwn1").write_bytes(records)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["sha256"] = optimizers._digest(records, manifest)  # the digest passes
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="bytes after the last record"):
+            load_checkpoint(tmp_path)
+
     def test_manifest_that_is_not_json_is_rejected(self, tmp_path):
         layers, hp = _stepped_checkpoint_layers("muon", 3, 2, 0, 7)
         save_checkpoint(tmp_path, layers, hp)

@@ -207,6 +207,13 @@ class TestNewtonSchulz:
         with pytest.raises(NonFiniteError):
             newton_schulz(np.zeros((2, 2)))
 
+    def test_an_iteration_that_overflows_is_rejected(self, rng):
+        # finite coefficients; x grows by 1e200 a step, past the float range on the second
+        cfg = NSConfig(steps=2, coeffs=(1e200, 0.0, 0.0))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NonFiniteError, match="iteration"):
+            newton_schulz(rng.standard_normal((3, 4)), cfg)
+
     def test_nonfinite_rejected(self):
         g = np.ones((2, 2))
         g[0, 0] = np.nan

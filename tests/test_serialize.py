@@ -1,4 +1,5 @@
 import io
+import os
 import struct
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from muown.serialize import MAGIC, read_record, write_record
+from muown.serialize import MAGIC, atomic_open, read_record, write_record
 
 
 def test_round_trip(tmp_path, rng):
@@ -126,3 +127,14 @@ def test_read_record_on_any_bytes_is_an_array_or_a_value_error(raw):
         return
     assert out.dtype == np.float64 and out.ndim == 2
     assert 20 + 8 * out.size <= len(raw)
+
+
+def test_atomic_open_keeps_the_old_bytes_when_the_block_raises(tmp_path):
+    path = tmp_path / "target.bin"
+    path.write_bytes(b"old")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with atomic_open(path) as fh:
+            fh.write(b"new, cut short")
+            raise RuntimeError("mid-write")
+    assert path.read_bytes() == b"old"
+    assert os.listdir(tmp_path) == ["target.bin"]  # no .tmp<pid> file left

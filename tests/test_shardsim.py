@@ -115,15 +115,12 @@ class TestPooledSharding:
         layers = init_layers(named, matrix_kind="muown")
         return layers, [rng.standard_normal(l.state.param.shape) for l in layers]
 
-    def test_pooled_path_equals_replicated_stepping(self, rng, monkeypatch):
+    def test_pooled_path_equals_replicated_stepping(self, rng, monkeypatch, pool_calls):
         monkeypatch.setattr(optimizers, "_workers", lambda: 2)
-        calls = []
-        real = optimizers._pool
-        monkeypatch.setattr(optimizers, "_pool", lambda n: calls.append(n) or real(n))
         layers, grads = self._heavy_problem(rng)
         hp = HyperParams(eta=0.02)
         sharded, traffic = run_sharded(layers, grads, hp, make_plan(len(layers), 2))
-        assert calls == [1]
+        assert pool_calls == [1]
         replicated = [step_layer(l, g, hp) for l, g in zip(layers, grads)]
         for a, b in zip(sharded, replicated):
             assert a.name == b.name

@@ -1,5 +1,6 @@
 """The step engine: concurrent ``step_all`` against the serial per-layer loop."""
 
+import os
 import sys
 import threading
 import time
@@ -9,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from muown import optimizers
+from muown import harness, optimizers
 from muown.errors import StepAllError
 from muown.harness import _DEFAULT_DIMS
 from muown.models import init_params
@@ -40,20 +41,6 @@ def _same_state(a, b) -> bool:
         elif x != y:
             return False
     return a.name == b.name and a.kind == b.kind
-
-
-@pytest.fixture
-def pool_calls(monkeypatch):
-    """Every ``_pool`` request, passed on to the real pool."""
-    calls = []
-    real = optimizers._pool
-
-    def spy(threads):
-        calls.append(threads)
-        return real(threads)
-
-    monkeypatch.setattr(optimizers, "_pool", spy)
-    return calls
 
 
 def _fake_cpus(monkeypatch, n):
@@ -97,7 +84,7 @@ def test_pooled_jobs_are_taken_costliest_first(monkeypatch):
     layers = init_layers(named)
     taken = []
     monkeypatch.setattr(optimizers, "_workers", lambda: 2)
-    monkeypatch.setattr(optimizers, "_pool", lambda threads: _InlinePool())
+    monkeypatch.setattr(optimizers, "_pool", lambda: _InlinePool())
     monkeypatch.setattr(optimizers, "step_layer",
                         lambda layer, grad, hp: taken.append(layer.name) or layer)
     out = step_all(layers, [None] * len(layers), HyperParams(eta=0.01))
@@ -202,15 +189,27 @@ def test_workers_divide_cpus_by_blas_threads(monkeypatch, openblas, omp, workers
     assert optimizers._workers() == workers
 
 
-def test_pool_is_made_once_and_again_in_a_forked_child(monkeypatch):
-    monkeypatch.setattr(optimizers, "_POOL", None)
-    first = optimizers._pool(1)
-    assert optimizers._pool(1) is first
-    pid = optimizers.os.getpid()
-    monkeypatch.setattr(optimizers.os, "getpid", lambda: pid + 1)
-    child = optimizers._pool(1)
-    assert child is not first
-    assert optimizers._pool(1) is child
-    monkeypatch.undo()
-    first.shutdown()
-    child.shutdown()
+def test_pool_is_made_once():
+    assert optimizers._pool() is optimizers._pool()
+
+
+def test_a_forked_process_has_one_worker_and_forks_no_child(monkeypatch):
+    _fake_cpus(monkeypatch, 4)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    assert optimizers._workers() == 4
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # the forked process: report, then leave without pytest's teardown
+        code = 1
+        try:
+            os.close(read)
+            with harness._Child(lambda: iter([1])) as child:
+                os.write(write, f"{optimizers._workers()} {child.pid}".encode())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read, "rb") as report:
+        seen = report.read().decode()
+    assert os.waitpid(pid, 0)[1] == 0
+    assert seen == "1 None"
