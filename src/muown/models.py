@@ -96,9 +96,15 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _mlp2_forward(params, x: np.ndarray):
+    """``(output, hidden)``; each layer is written into its own product's buffer,
+    the same ufuncs in the same order as ``tanh(x w1ᵀ + b1)`` and ``h w2ᵀ + b2``."""
     w1, b1, w2, b2 = (params[k] for k in ("W1", "b1", "W2", "b2"))
-    hidden = np.tanh(x.dot(w1.T) + b1)
-    return hidden.dot(w2.T) + b2, hidden
+    hidden = x.dot(w1.T)
+    hidden += b1
+    np.tanh(hidden, out=hidden)
+    out = hidden.dot(w2.T)
+    out += b2
+    return out, hidden
 
 
 def loss_and_grad(spec: ModelSpec, params, batch: Optional[Batch]):

@@ -89,8 +89,8 @@ class HyperParams:
     def __post_init__(self):
         if not (self.eta > 0 and math.isfinite(self.eta)):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
+            raise ValueError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if not 0.0 <= self.beta1 < 1.0:
             raise ValueError(f"beta1 must be in [0, 1), got {self.beta1}")
         if not 0.0 <= self.adam_beta1 < 1.0:
@@ -99,10 +99,10 @@ class HyperParams:
             raise ValueError(
                 f"adam_beta2 must lie in (adam_beta1, 1), got {self.adam_beta2}"
             )
-        if self.adam_eps <= 0:
-            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
-        if self.gamma is not None and not self.gamma > 0:
-            raise ValueError(f"gamma must be positive when given, got {self.gamma}")
+        if not (self.adam_eps > 0 and math.isfinite(self.adam_eps)):
+            raise ValueError(f"adam_eps must be positive and finite, got {self.adam_eps}")
+        if self.gamma is not None and not (self.gamma > 0 and math.isfinite(self.gamma)):
+            raise ValueError(f"gamma must be positive and finite when given, got {self.gamma}")
         if self.backend not in ("polar", "ns"):
             raise ValueError(f"backend must be 'polar' or 'ns', got {self.backend!r}")
 

@@ -62,8 +62,8 @@ class NSConfig:
     coeffs: tuple[float, float, float] = CLASSIC_COEFFS
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if not (isinstance(self.steps, (int, np.integer)) and self.steps >= 1):
+            raise ValueError(f"steps must be an integer >= 1, got {self.steps!r}")
         if len(self.coeffs) != 3 or not all(np.isfinite(c) for c in self.coeffs):
             raise ValueError(f"coeffs must be a finite (a, b, c) triple, got {self.coeffs}")
 

@@ -10,6 +10,7 @@ sample t = 0 .. T-1, so every applied rate is positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -31,8 +32,8 @@ class ScheduleSpec:
             raise ConfigError(f"decay_frac must lie in [0, 1], got {self.decay_frac}")
         if self.warmup_frac + self.decay_frac > 1.0:
             raise ConfigError("decay_frac must be <= 1 - warmup_frac")
-        if self.floor < 0.0:
-            raise ConfigError(f"floor must be >= 0, got {self.floor}")
+        if not (self.floor >= 0.0 and math.isfinite(self.floor)):
+            raise ConfigError(f"floor must be >= 0 and finite, got {self.floor}")
 
 
 def eta_at(spec: ScheduleSpec, step: float, total: int, peak: float) -> float:

@@ -140,6 +140,23 @@ def straight_line_signum(w0, grad_seq, eta, gamma, beta1, lam):
             g = np.sqrt(np.sum(w * w, axis=1))
     return w, g, r, big_m, mom
 
+
+class TestHyperParams:
+    @pytest.mark.parametrize("field, value", [
+        ("adam_eps", float("inf")), ("adam_eps", float("nan")),
+        ("weight_decay", float("nan")), ("weight_decay", float("inf")),
+        ("gamma", float("inf"))],
+        ids=["adam_eps-inf", "adam_eps-nan", "weight_decay-nan", "weight_decay-inf",
+             "gamma-inf"])
+    def test_non_finite_value_rejected_naming_its_field(self, field, value):
+        # an infinite adam_eps would make every Adam step move nothing, and a
+        # non-finite weight_decay would fail the first step as a NaN/Inf param;
+        # the config maps the error to its JSON path by the message's first word
+        with pytest.raises(ValueError) as err:
+            HyperParams(eta=0.01, **{field: value})
+        assert str(err.value).split()[0] == field
+
+
 class TestMuownStep:
     def test_zero_gradient_is_a_fixpoint_at_init(self, rng):
         w0 = rng.standard_normal((3, 2))

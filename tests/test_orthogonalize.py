@@ -281,6 +281,11 @@ class TestNewtonSchulz:
         with pytest.raises(ValueError):
             NSConfig(coeffs=(1.0, np.inf, 0.0))
 
+    def test_non_integer_steps_rejected(self):
+        # a fractional count would fail later, as a TypeError inside range
+        with pytest.raises(ValueError, match="^steps "):
+            NSConfig(steps=2.5)
+
 
 class TestDescentDirection:
     def test_zero_maps_to_zero_both_backends(self):

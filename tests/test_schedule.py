@@ -62,3 +62,9 @@ class TestValidation:
     def test_negative_floor(self):
         with pytest.raises(ConfigError):
             ScheduleSpec(floor=-1.0)
+
+    @pytest.mark.parametrize("floor", [float("inf"), float("nan")])
+    def test_non_finite_floor(self, floor):
+        # an infinite floor would make every wsd rate infinite and fail in HyperParams
+        with pytest.raises(ConfigError, match="^floor "):
+            ScheduleSpec(kind="wsd", floor=floor)
