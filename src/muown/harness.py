@@ -73,6 +73,8 @@ class ExperimentConfig:
     def __post_init__(self):
         _require(self.preset in PRESETS, "preset",
                  f"unknown preset {self.preset!r}; choose from {PRESETS}")
+        # SplitMix64 keeps a seed's low 64 bits, so any other seed would alias one of these
+        _require(0 <= self.seed < 2 ** 64, "seed", f"must lie in [0, 2**64), got {self.seed}")
         for name, low in (("steps", 1), ("log_every", 1), ("checkpoint_every", 0),
                           ("num_batches", 1), ("batch_size", 1), ("noise_checkpoints", 1)):
             value = getattr(self, name)
@@ -107,15 +109,15 @@ class ExperimentConfig:
 
 
 def _require(ok: bool, target: str, why: str, suffix: str = "") -> None:
-    """Unless ``ok``, raise a ConfigError naming the JSON path of config field ``target``."""
+    """Unless ``ok``, raise a ConfigError naming config field ``target`` by its JSON
+    path, or by its own name if no config file holds it (the preset, the command's)."""
     if not ok:
-        raise ConfigError(f"{_PATH_OF[target]}{suffix}: {why}")
+        raise ConfigError(f"{_PATH_OF.get(target, target)}{suffix}: {why}")
 
 
 # The config file schema: JSON leaf path -> (ExperimentConfig attribute path, JSON
 # type). ``hp.ns.steps`` is ``cfg.hp.ns.steps``; an absent path keeps the default.
 _SCHEMA = {
-    "preset": ("preset", str),
     "seed": ("seed", int),
     "steps": ("steps", int),
     "log_every": ("log_every", int),
@@ -196,7 +198,8 @@ def _leaves(node: dict, prefix: str = ""):
 
 
 def config_from_dict(raw: dict, preset: Optional[str] = None) -> ExperimentConfig:
-    """Validate a nested config dict (the JSON file schema, ``_SCHEMA``) into a config."""
+    """Validate a nested config dict (the JSON file schema, ``_SCHEMA``) into a config
+    of ``preset``, or of the default preset if None."""
     leaves = {_SCHEMA[path][0]: _check(path, value, _SCHEMA[path][1])
               for path, value in _leaves(raw)}
     if preset is not None:
@@ -233,6 +236,8 @@ def apply_overrides(raw: dict, overrides) -> dict:
         if "=" not in item:
             raise ConfigError(f"--set {item!r}: expected key=value")
         key, _, text = item.partition("=")
+        if "" in key.split("."):
+            raise ConfigError(f"--set {item!r}: empty name in key {key!r}")
         try:
             value = json.loads(text)
         except json.JSONDecodeError:
@@ -542,8 +547,10 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
     """
     spec = models.quadratic_spec(np.zeros((2, 2)))
     start = init_layers([("W", np.eye(2))], matrix_kind="muown_signum")
-    delta1 = loss_and_grad(spec, _params_of(start), None)[0] - spec.optimum
-    big_l = spec.smoothness
+    # 0.5||W||_F^2 has the identity Hessian, so its smoothness L is 1, and its
+    # minimum f* is 0, so Delta1 = f(W_0) - f* is the loss at the start.
+    big_l = 1.0
+    delta1 = loss_and_grad(spec, _params_of(start), None)[0]
     assertions = []
     all_rows = []
 

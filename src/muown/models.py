@@ -2,14 +2,12 @@
 
 Three model kinds:
 
-* ``quadratic``: 0.5 * ||W - W*||_F^2 over a single matrix parameter. Exact
-  smoothness constant 1 (identity Hessian) and known optimum 0; the batch
-  argument is ignored, so its gradient oracle is deterministic.
+* ``quadratic``: 0.5 * ||W - W*||_F^2 over a single matrix parameter. The
+  batch argument is ignored, so its gradient oracle is deterministic.
 * ``logistic``: binary logistic regression with +-1 labels on a planted
-  separator; stable log-sum-exp loss. Smoothness is the analytic bound
-  0.25 * lambda_max(X^T X) / N over the generating dataset.
+  separator; stable log-sum-exp loss.
 * ``mlp2``: two dense tanh layers with biases, squared error against a noisy
-  teacher. Smooth everywhere; no honest analytic constant, so none is set.
+  teacher.
 
 All pseudo-randomness (inits, datasets, epoch orders) flows through the
 SplitMix64 stream in :mod:`muown.rng`, so identical seeds give bitwise
@@ -24,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NonFiniteError
-from .linalg import row_norms, singular_values
+from .linalg import row_norms
 from .rng import SplitMix64, derive_seed
 
 # model kind -> the dimensions that ``init_params`` and ``synth_data`` read
@@ -64,26 +62,16 @@ class Batch:
 @dataclass(frozen=True)
 class ModelSpec:
     kind: str
-    smoothness: Optional[float]  # exact for quadratic, bound/estimate otherwise
-    optimum: Optional[float]
     target: Optional[np.ndarray] = None  # quadratic anchor W*
 
     def __post_init__(self):
         if self.kind not in MODEL_DIMS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == "quadratic" and not (self.smoothness and self.smoothness > 0):
-            raise ValueError("quadratic models carry an exact positive smoothness constant")
 
 
 def quadratic_spec(target) -> ModelSpec:
-    """0.5||W - target||_F^2; Hessian is the identity so L = 1 exactly."""
-    target = np.asarray(target, dtype=np.float64)
-    return ModelSpec(
-        kind="quadratic",
-        smoothness=1.0,
-        optimum=0.0,
-        target=target,
-    )
+    """0.5||W - target||_F^2."""
+    return ModelSpec("quadratic", np.asarray(target, dtype=np.float64))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -220,16 +208,9 @@ def make_model(kind: str, dims: dict, seed: int, num_batches: int = 8,
     params = init_params(kind, dims, seed)
     batches = synth_data(kind, dims, seed, num_batches, batch_size)
     if kind == "quadratic":
-        target_stream = SplitMix64(derive_seed(seed, 0x7A26))
-        target = target_stream.gaussian_array((dims["m"], dims["n"]))
-        spec = quadratic_spec(target)
-    elif kind == "logistic":
-        x_all = np.concatenate([b.inputs for b in batches], axis=0)
-        lbound = 0.25 * float(singular_values(x_all)[0] ** 2) / x_all.shape[0]
-        spec = ModelSpec(kind="logistic", smoothness=lbound, optimum=None)
-    else:
-        spec = ModelSpec(kind="mlp2", smoothness=None, optimum=None)
-    return spec, params, batches
+        target = SplitMix64(derive_seed(seed, 0x7A26)).gaussian_array((dims["m"], dims["n"]))
+        return quadratic_spec(target), params, batches
+    return ModelSpec(kind), params, batches
 
 
 def epoch_order(num_batches: int, seed: int, epoch: int) -> list[int]:

@@ -5,7 +5,8 @@ step t, with w = round(warmup_frac*T) warmup steps and d = round(decay_frac*T)
 decay steps: linear ramp, constant plateau, linear cooldown. The function is
 continuous at both breakpoints (the adjoining pieces evaluate to the peak
 exactly) and reaches the floor (default 0) exactly at t = T; training loops
-sample t = 0 .. T-1, so every applied rate is positive.
+sample t = 0 .. T-1, so every applied rate is positive. A floor above the
+peak is capped at the peak, so no rate exceeds it, as with ``constant``.
 """
 
 from __future__ import annotations
@@ -49,4 +50,4 @@ def eta_at(spec: ScheduleSpec, step: float, total: int, peak: float) -> float:
         value = peak * (step + 1) / w
     elif d > 0 and step > total - d:
         value = peak * (total - step) / d
-    return max(value, spec.floor)
+    return max(value, min(spec.floor, peak))

@@ -89,6 +89,11 @@ class TestConfig:
         assert cfg.hp.eta == 0.01
         assert cfg.schedule.kind == "wsd"
 
+    def test_an_unknown_preset_is_named(self):
+        # the preset is no config path, yet its error names it
+        with pytest.raises(ConfigError, match="^preset: unknown preset 'bogus'"):
+            ExperimentConfig(preset="bogus")
+
     def test_unknown_top_level_field(self):
         with pytest.raises(ConfigError, match="bogus"):
             config_from_dict({"bogus": 1})
@@ -1100,6 +1105,9 @@ class TestCli:
         ("single", "optimizer.ns_steps=1e400"),
         # a key that is not a dimension of the model kind
         ("single", "model.dims.foo=3"),
+        # a seed SplitMix64 would alias: it keeps only the low 64 bits
+        ("single", "seed=-1"),
+        ("single", f"seed={2 ** 64}"),
         # out of range, caught by the dataclass that holds the field
         ("single", "optimizer.adam_eps=0"),
         ("single", "schedule.decay_frac=0.99"),
@@ -1162,7 +1170,41 @@ class TestCli:
         block = json.loads(block.split("```", 1)[0])
         assert config_from_dict(block) == ExperimentConfig()
         paths = {path for path, _ in harness._leaves(block)}
-        assert paths == set(harness._SCHEMA) - {"preset"}
+        assert paths == set(harness._SCHEMA)
+
+    def test_preset_in_a_config_exits_2_naming_it(self, tmp_path, capsys):
+        # the preset is the command's: a config that names one would be overruled silently
+        config = tmp_path / "cfg.json"
+        config.write_text('{"preset": "drift", "steps": 2}')
+        for args in (["--config", str(config)], ["--set", "preset=drift"]):
+            rc = cli_main(["run", "single", *args, "--out", str(tmp_path / "x")])
+            assert rc == 2
+            assert "config error: preset: unknown config field" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("item, key", [("=5", ""), (".x=1", ".x"),
+                                           ("model..kind=mlp2", "model..kind")])
+    def test_empty_key_name_exits_2_quoting_the_set(self, tmp_path, capsys, item, key):
+        rc = cli_main(["run", "single", "--set", item, "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: --set {item!r}: empty name in key {key!r}\n")
+
+    @pytest.mark.parametrize("preset, sets, digest", [
+        ("single", ["model.kind=logistic", 'model.dims={"features": 5}', "steps=20"],
+         "a8ef7495e684f5b37b464f043797b5b30ca1ede5121a4f82424b660260f39c2f"),
+        ("single", ["model.kind=quadratic", 'model.dims={"m": 4, "n": 3}', "steps=20"],
+         "6c736a4bda4936fab556053164291b7b18a91e690f6773956d2fd872052854a0"),
+        ("noise-compare", ["model.kind=quadratic", 'model.dims={"m": 4, "n": 3}', "steps=8"],
+         "7eb4003dd1a7c428795c4960d7f1b5786a8fb860aaf1b0bb2dd99c1081877c3c"),
+    ], ids=["logistic-single", "quadratic-single", "quadratic-noise-compare"])
+    def test_non_default_model_logs_keep_their_bytes(self, tmp_path, preset, sets, digest):
+        # the golden hashes cover mlp2 only; these pin the quadratic and logistic paths
+        out = tmp_path / "out"
+        rc = cli_main(["run", preset, *(a for item in sets for a in ("--set", item)),
+                       "--out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256((out / "log.csv").read_bytes()).hexdigest() == digest
 
     @settings(max_examples=300, deadline=None)
     @given(sets=st.lists(st.tuples(

@@ -59,7 +59,6 @@ class TestQuadratic:
         loss, grads = loss_and_grad(spec, params, None)
         assert loss == pytest.approx(0.5 * np.sum((w - target) ** 2), rel=1e-14)
         assert np.array_equal(grads[0], w - target)
-        assert spec.smoothness == 1.0 and spec.optimum == 0.0
 
     def test_fd_nearly_exact(self, rng):
         # zero third derivative: central differences are exact up to roundoff
@@ -97,10 +96,6 @@ class TestLogistic:
             w -= 0.01 * np.sign(grads[0])
         final, _ = loss_and_grad(spec, with_value(params, "w", w), batches[0])
         assert final < 0.6 * np.log(2.0)
-
-    def test_smoothness_bound_positive(self):
-        spec, _, _ = make_model("logistic", {"features": 4}, seed=7)
-        assert spec.smoothness > 0
 
 
 class TestMlp2:

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from muown.errors import ConfigError
 from muown.schedule import ScheduleSpec, eta_at
@@ -48,6 +50,25 @@ class TestWarmupStableDecay:
         spec = ScheduleSpec(kind="constant")
         assert eta_at(spec, 0, 10, 0.2) == 0.2
         assert eta_at(spec, 9, 10, 0.2) == 0.2
+
+    def test_a_floor_above_the_peak_is_capped_at_the_peak(self):
+        for kind in ("constant", "wsd"):
+            spec = ScheduleSpec(kind=kind, floor=1.0)
+            assert [eta_at(spec, t, 100, 0.02) for t in (0, 50, 99)] == [0.02] * 3
+
+    # peaks over which the ramp's products peak * (t + 1) and peak / w stay normal floats
+    @given(kind=st.sampled_from(["constant", "wsd"]),
+           warmup=st.floats(0.0, 1.0), decay=st.floats(0.0, 1.0),
+           floor=st.floats(min_value=0.0, allow_infinity=False),
+           peak=st.floats(1e-300, 1e300), total=st.integers(1, 10 ** 6), data=st.data())
+    def test_every_training_rate_lies_in_zero_to_peak(self, kind, warmup, decay, floor,
+                                                      peak, total, data):
+        try:
+            spec = ScheduleSpec(kind, warmup, decay, floor)
+        except ConfigError:  # warmup + decay > 1
+            return
+        t = data.draw(st.integers(0, total - 1))
+        assert 0.0 < eta_at(spec, t, total, peak) <= peak
 
 
 class TestValidation:
