@@ -95,6 +95,12 @@ class ExperimentConfig:
             k = getattr(self, name)
             # exactly the k for which the grid rate 2.0 ** k is a positive finite float
             _require(-1074 <= k <= 1023, name, f"must lie in [-1074, 1023], got {k}")
+        # the schedule rises, then falls, so its smallest rates are at its ends
+        for name, peak in (("hp.eta", self.hp.eta), ("hp.gamma", self.hp.gamma),
+                           ("sweep_log2_min", 2.0 ** self.sweep_log2_min)):
+            for t in (0, self.steps - 1) if peak is not None else ():
+                rate = eta_at(self.schedule, t, self.steps, peak)
+                _require(rate > 0.0, name, f"its rate at step {t + 1} is {rate!r}, not > 0")
         _require(self.sweep_log2_max >= self.sweep_log2_min, "sweep_log2_max",
                  f"must be >= log2_min {self.sweep_log2_min}, got {self.sweep_log2_max}")
         _require(bool(self.rate_horizons) and min(self.rate_horizons) >= 1, "rate_horizons",
@@ -138,7 +144,6 @@ _SCHEMA = {
     "optimizer.rms_scale_on": ("hp.rms_scale_on", bool),
     "optimizer.ns_steps": ("hp.ns.steps", int),
     "optimizer.ns_coeffs": ("hp.ns.coeffs", [float]),
-    "schedule.kind": ("schedule.kind", str),
     "schedule.warmup_frac": ("schedule.warmup_frac", float),
     "schedule.decay_frac": ("schedule.decay_frac", float),
     "schedule.floor": ("schedule.floor", float),
@@ -187,6 +192,8 @@ def _leaves(node: dict, prefix: str = ""):
     ``_SCHEMA`` does not list and a section that is not an object."""
     for key, value in node.items():
         path = f"{prefix}{key}"
+        if not key:
+            raise ConfigError(f"{prefix[:-1] or 'top level'}: a field with an empty name")
         if "." in key or (path not in _SCHEMA and path not in _SECTIONS):
             raise ConfigError(f"{path}: unknown config field")
         if path in _SCHEMA:
@@ -477,7 +484,9 @@ def _write_verdict(out_dir: Optional[str], preset: str, assertions: list[dict]) 
 
 
 def preset_drift(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
-    """Row-norm drift comparison: muon (no decay) vs fixed vs adaptive magnitudes.
+    """Row-norm drift comparison: muon vs fixed vs adaptive magnitudes. Muon and
+    muown take ``hp.weight_decay``; the fixed magnitudes, which decay would
+    unfreeze, take none.
 
     Hard assertions: the fixed-magnitude run keeps every row norm of every
     matrix weight at its initial value to 1e-10 relative; all three runs emit
@@ -485,10 +494,10 @@ def preset_drift(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dict:
     bitwise-identical initial weights. Drift magnitudes for the other two
     runs are logged, not asserted.
     """
-    runs = {kind: _drift_run(replace(cfg, optimizer_kind=kind,
-                                     hp=replace(cfg.hp, weight_decay=0.0)),
+    hps = {"muon": cfg.hp, "muown_fixed": replace(cfg.hp, weight_decay=0.0), "muown": cfg.hp}
+    runs = {kind: _drift_run(replace(cfg, optimizer_kind=kind, hp=hp),
                              os.path.join(out_dir, kind) if out_dir else None)
-            for kind in ("muon", "muown_fixed", "muown")}
+            for kind, hp in hps.items()}
     assertions = [_completed(f"{kind}_run_completed", log.summary)
                   for kind, (log, _, _) in runs.items() if "failure" in log.summary]
     fixed_dev = runs["muown_fixed"][2]

@@ -50,11 +50,6 @@ AGGRESSIVE_COEFFS = (3.4445, -4.7750, 2.0315)
 # inf, the sum of squares has underflowed or overflowed.
 _NORM_MIN = float(np.sqrt(np.finfo(np.float64).tiny))
 
-# Validated default bounds on the output singular values (acceptance-tested,
-# not a theoretical guarantee).
-S_LO = 0.68
-S_HI = 1.16
-
 
 @dataclass(frozen=True)
 class NSConfig:

@@ -22,7 +22,7 @@ _READ_CHUNK = 1 << 24
 
 
 def write_record(fh: BinaryIO, a: np.ndarray) -> int:
-    """Append one matrix record; 1-D input is written as a len x 1 matrix."""
+    """Append one matrix record (1-D input as len x 1); return its size in bytes."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim == 1:
         a = a.reshape(-1, 1)

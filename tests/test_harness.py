@@ -82,12 +82,12 @@ class TestConfig:
             "steps": 10,
             "model": {"kind": "logistic", "dims": {"features": 4}},
             "optimizer": {"kind": "muon", "eta": 0.01, "backend": "polar"},
-            "schedule": {"kind": "wsd", "warmup_frac": 0.1, "decay_frac": 0.1},
+            "schedule": {"warmup_frac": 0.1, "decay_frac": 0.1},
         })
         assert cfg.model_kind == "logistic"
         assert cfg.optimizer_kind == "muon"
         assert cfg.hp.eta == 0.01
-        assert cfg.schedule.kind == "wsd"
+        assert (cfg.schedule.warmup_frac, cfg.schedule.decay_frac) == (0.1, 0.1)
 
     def test_an_unknown_preset_is_named(self):
         # the preset is no config path, yet its error names it
@@ -194,7 +194,7 @@ def _scheduled_signum(gamma) -> dict:
     """muown_signum at eta = 0.02 for 10 steps of a schedule with 3 warmup and
     3 decay steps."""
     return {"steps": 10, "optimizer": {"kind": "muown_signum", "eta": 0.02, "gamma": gamma},
-            "schedule": {"kind": "wsd", "warmup_frac": 0.3, "decay_frac": 0.3}}
+            "schedule": {"warmup_frac": 0.3, "decay_frac": 0.3}}
 
 
 class TestPresets:
@@ -205,6 +205,16 @@ class TestPresets:
         names = [a["name"] for a in verdict["assertions"]]
         assert "fixed_row_norms_constant_1e-10" in names
         assert json.load(open(tmp_path / "verdict.json"))["pass"]
+
+    def test_drift_takes_the_configured_decay_but_for_fixed_magnitudes(self, tmp_path):
+        for name, decay in (("none", 0.0), ("decay", 0.1)):
+            rc = cli_main(["run", "drift", "--set", "steps=5", "--set",
+                           f"optimizer.weight_decay={decay}", "--out", str(tmp_path / name)])
+            assert rc == 0
+        same = {kind: (tmp_path / "none" / kind / "log.csv").read_bytes()
+                == (tmp_path / "decay" / kind / "log.csv").read_bytes()
+                for kind in ("muon", "muown_fixed", "muown")}
+        assert same == {"muon": False, "muown_fixed": True, "muown": False}
 
     def test_drift_verdict_when_every_variant_fails_its_first_step(self, tmp_path):
         cfg = config_from_dict(apply_overrides({}, ["steps=6", "optimizer.eta=1e300"]),
@@ -1013,22 +1023,24 @@ class TestVectorRouting:
 
 
 _TOY = st.integers(1, 4)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 @st.composite
 def _toy_configs(draw):
     """A config dict at toy size: steps, dims and horizons <= 4, at most two
-    lr-sweep cells, eta from 1e-6 to 1e30; the cheap fields may be left out."""
+    lr-sweep cells, eta and gamma anywhere in the positive floats; the cheap
+    fields may be left out."""
     kind = draw(st.sampled_from(sorted(models.MODEL_DIMS)))
     sweep = draw(st.lists(st.sampled_from(sorted(optimizers.INIT_FNS)),
                           min_size=1, max_size=2, unique=True))
-    log2_min = draw(st.integers(-30, 10))
+    log2_min = draw(st.integers(-1074, 1023))
+    log2_max = min(log2_min + draw(st.integers(0, 2 - len(sweep))), 1023)
     raw = {
         "steps": draw(_TOY),
         "model": {"kind": kind, "dims": {d: draw(_TOY) for d in models.MODEL_DIMS[kind]}},
         "rate_check": {"horizons": draw(st.lists(_TOY, min_size=1, max_size=2))},
-        "lr_sweep": {"optimizers": sweep, "log2_min": log2_min,
-                     "log2_max": log2_min + draw(st.integers(0, 2 - len(sweep)))},
+        "lr_sweep": {"optimizers": sweep, "log2_min": log2_min, "log2_max": log2_max},
     }
     optional = {
         "seed": st.integers(0, 2**32 - 1),
@@ -1037,19 +1049,18 @@ def _toy_configs(draw):
         "model.num_batches": st.integers(1, 3),
         "model.batch_size": _TOY,
         "optimizer.kind": st.sampled_from(sorted(optimizers.INIT_FNS)),
-        "optimizer.eta": st.floats(-6, 30).map(lambda e: 10.0 ** e),
+        "optimizer.eta": _POSITIVE,
         "optimizer.weight_decay": st.just(0.0) | st.floats(0, 1),
         "optimizer.beta1": st.floats(0, 0.99),
         "optimizer.adam_beta1": st.floats(0, 0.9),
         "optimizer.adam_beta2": st.floats(0.91, 0.999),
         "optimizer.adam_eps": st.floats(1e-12, 1e-2),
-        "optimizer.gamma": st.none() | st.floats(1e-6, 10),
+        "optimizer.gamma": st.none() | _POSITIVE,
         "optimizer.backend": st.sampled_from(["ns", "polar"]),
         "optimizer.rms_scale_on": st.booleans(),
         "optimizer.ns_steps": _TOY,
         "optimizer.ns_coeffs": st.sampled_from([list(CLASSIC_COEFFS),
                                                 list(AGGRESSIVE_COEFFS)]),
-        "schedule.kind": st.sampled_from(["constant", "wsd"]),
         "schedule.warmup_frac": st.floats(0, 0.5),
         "schedule.decay_frac": st.floats(0, 0.5),
         "schedule.floor": st.floats(0, 1),
@@ -1060,6 +1071,10 @@ def _toy_configs(draw):
             section, _, leaf = path.rpartition(".")
             (raw.setdefault(section, {}) if section else raw)[leaf] = draw(values)
     return raw
+
+
+# a warmup-stable-decay schedule: 4 warmup and 40 decay steps of the default 200
+_FRACTIONS = ["schedule.warmup_frac=0.02", "schedule.decay_frac=0.2"]
 
 
 class TestCli:
@@ -1110,7 +1125,7 @@ class TestCli:
         ("single", f"seed={2 ** 64}"),
         # out of range, caught by the dataclass that holds the field
         ("single", "optimizer.adam_eps=0"),
-        ("single", "schedule.decay_frac=0.99"),
+        ("single", "schedule.decay_frac=1.01"),
         ("single", "schedule.floor=-1"),
         ("single", "model.batch_size=0"),
         # weight decay would unfreeze muown_fixed's magnitudes; the last --set is named
@@ -1189,6 +1204,71 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err == (
             f"config error: --set {item!r}: empty name in key {key!r}\n")
+
+    @pytest.mark.parametrize("raw, where", [('{"model": {"": 1}}', "model"),
+                                            ('{"": 1}', "top level")])
+    def test_an_empty_field_name_in_a_config_file_names_its_section(self, tmp_path, capsys,
+                                                                    raw, where):
+        config = tmp_path / "cfg.json"
+        config.write_text(raw)
+        rc = cli_main(["run", "single", "--config", str(config), "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"config error: {where}: a field with an empty name\n"
+
+    def test_schedule_kind_exits_2_naming_it(self, tmp_path, capsys):
+        # zero fractions are the constant schedule, so no kind is left to choose
+        config = tmp_path / "cfg.json"
+        config.write_text('{"schedule": {"kind": "wsd"}, "steps": 2}')
+        for args in (["--config", str(config)], ["--set", 'schedule.kind="constant"']):
+            rc = cli_main(["run", "single", *args, "--out", str(tmp_path / "x")])
+            assert rc == 2
+            assert ("config error: schedule.kind: unknown config field"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
+
+    def test_a_lone_warmup_fraction_ramps_the_rate(self, tmp_path):
+        rc = cli_main(["run", "single", "--set", "schedule.warmup_frac=0.5",
+                       "--set", "steps=4", "--out", str(tmp_path)])
+        assert rc == 0
+        assert [float(row[1]) for row in _read_csv(tmp_path / "log.csv")[1]] == [
+            0.01, 0.02, 0.02, 0.02]
+
+    @pytest.mark.parametrize("preset, sets, field", [
+        ("single", ["optimizer.eta=5e-324"], "optimizer.eta"),
+        ("single", ["optimizer.kind=muown_signum", "optimizer.gamma=5e-324"],
+         "optimizer.gamma"),
+        ("lr-sweep", ["lr_sweep.log2_min=-1074", "lr_sweep.log2_max=-1074"],
+         "lr_sweep.log2_min"),
+    ])
+    def test_a_scheduled_rate_that_underflows_exits_2_naming_its_peak(
+            self, tmp_path, capsys, preset, sets, field):
+        # 200 steps: the first rate is a quarter of the peak, which rounds to 0.0
+        sets = [*sets, *_FRACTIONS]
+        rc = cli_main(["run", preset, *(a for item in sets for a in ("--set", item)),
+                       "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"config error: {field}: its rate at step 1 is 0.0, not > 0\n")
+        assert not (tmp_path / "x").exists()
+
+    def test_a_scheduled_grid_rate_at_the_top_of_the_float_range(self, monkeypatch, tmp_path):
+        # each ramp and decay rate is a fraction <= 1 of its peak, so none overflows
+        monkeypatch.setattr(optimizers, "_workers", lambda: 1)
+        rates = []
+        inner = harness.step_all
+
+        def spy(layers, grads, hp):
+            rates.append(hp.eta)
+            return inner(layers, grads, hp)
+
+        monkeypatch.setattr(harness, "step_all", spy)
+        sets = ["lr_sweep.log2_min=1023", "lr_sweep.log2_max=1023", *_FRACTIONS]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = cli_main(["run", "lr-sweep", *(a for item in sets for a in ("--set", item)),
+                           "--out", str(tmp_path)])
+        assert rc == 0
+        assert rates[0] == 2.0 ** 1021 and max(rates) <= 2.0 ** 1023
 
     @pytest.mark.parametrize("preset, sets, digest", [
         ("single", ["model.kind=logistic", 'model.dims={"features": 5}', "steps=20"],

@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from muown.errors import ConfigError
 from muown.schedule import ScheduleSpec, eta_at
 
-WSD = ScheduleSpec(kind="wsd", warmup_frac=0.02, decay_frac=0.20)
+WSD = ScheduleSpec(warmup_frac=0.02, decay_frac=0.20)
+# every positive finite float
+PEAKS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 class TestWarmupStableDecay:
@@ -39,7 +41,7 @@ class TestWarmupStableDecay:
         assert eta_at(WSD, 1000, 1000, 0.7) == 0.0
 
     def test_floor_respected(self):
-        spec = ScheduleSpec(kind="wsd", floor=1e-4)
+        spec = ScheduleSpec(warmup_frac=0.02, decay_frac=0.20, floor=1e-4)
         assert eta_at(spec, 1000, 1000, 0.7) == 1e-4
 
     def test_every_training_step_positive(self):
@@ -47,38 +49,41 @@ class TestWarmupStableDecay:
             assert eta_at(WSD, t, 200, 0.1) > 0.0
 
     def test_constant(self):
-        spec = ScheduleSpec(kind="constant")
+        spec = ScheduleSpec()
         assert eta_at(spec, 0, 10, 0.2) == 0.2
         assert eta_at(spec, 9, 10, 0.2) == 0.2
 
+    @given(peak=PEAKS, total=st.integers(1, 10 ** 6), data=st.data())
+    def test_zero_fractions_keep_every_rate_at_the_peak(self, peak, total, data):
+        t = data.draw(st.integers(0, total - 1))
+        assert eta_at(ScheduleSpec(), t, total, peak) == peak
+
     def test_a_floor_above_the_peak_is_capped_at_the_peak(self):
-        for kind in ("constant", "wsd"):
-            spec = ScheduleSpec(kind=kind, floor=1.0)
+        for fracs in ((0.0, 0.0), (0.02, 0.20)):
+            spec = ScheduleSpec(*fracs, floor=1.0)
             assert [eta_at(spec, t, 100, 0.02) for t in (0, 50, 99)] == [0.02] * 3
 
-    # peaks over which the ramp's products peak * (t + 1) and peak / w stay normal floats
-    @given(kind=st.sampled_from(["constant", "wsd"]),
-           warmup=st.floats(0.0, 1.0), decay=st.floats(0.0, 1.0),
+    @given(warmup=st.just(0.0) | st.floats(0.0, 1.0),
+           decay=st.just(0.0) | st.floats(0.0, 1.0),
            floor=st.floats(min_value=0.0, allow_infinity=False),
-           peak=st.floats(1e-300, 1e300), total=st.integers(1, 10 ** 6), data=st.data())
-    def test_every_training_rate_lies_in_zero_to_peak(self, kind, warmup, decay, floor,
+           peak=PEAKS, total=st.integers(1, 10 ** 6), data=st.data())
+    def test_every_training_rate_lies_in_zero_to_peak(self, warmup, decay, floor,
                                                       peak, total, data):
         try:
-            spec = ScheduleSpec(kind, warmup, decay, floor)
+            spec = ScheduleSpec(warmup, decay, floor)
         except ConfigError:  # warmup + decay > 1
             return
         t = data.draw(st.integers(0, total - 1))
-        assert 0.0 < eta_at(spec, t, total, peak) <= peak
+        rate = eta_at(spec, t, total, peak)
+        assert 0.0 <= rate <= peak
+        # the shape rises, then falls: no rate lies below both ends
+        assert rate >= min(eta_at(spec, 0, total, peak), eta_at(spec, total - 1, total, peak))
 
 
 class TestValidation:
-    def test_bad_kind(self):
-        with pytest.raises(ConfigError):
-            ScheduleSpec(kind="cosine")
-
     def test_fractions_must_fit(self):
         with pytest.raises(ConfigError):
-            ScheduleSpec(kind="wsd", warmup_frac=0.6, decay_frac=0.6)
+            ScheduleSpec(warmup_frac=0.6, decay_frac=0.6)
 
     def test_negative_floor(self):
         with pytest.raises(ConfigError):
@@ -86,6 +91,6 @@ class TestValidation:
 
     @pytest.mark.parametrize("floor", [float("inf"), float("nan")])
     def test_non_finite_floor(self, floor):
-        # an infinite floor would make every wsd rate infinite and fail in HyperParams
+        # a floor must be finite, as every float of a config must
         with pytest.raises(ConfigError, match="^floor "):
-            ScheduleSpec(kind="wsd", floor=floor)
+            ScheduleSpec(floor=floor)
