@@ -17,7 +17,7 @@ from .errors import ConfigError
 from .harness import PRESETS, apply_overrides, config_from_dict, run_preset
 
 
-def build_parser() -> argparse.ArgumentParser:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="muown")
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run an experiment preset")
@@ -26,11 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--set", dest="overrides", action="append", default=[],
                      metavar="KEY=VALUE", help="override a config field (dotted path)")
     run.add_argument("--out", required=True, help="output directory")
-    return parser
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     try:
         raw = {}
         if args.config:

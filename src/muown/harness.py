@@ -178,6 +178,8 @@ def _check(path: str, value, kind):
         what = "a non-empty list"
     elif kind is dict:
         if type(value) is dict:
+            if "" in value:
+                raise ConfigError(f"{path}: a field with an empty name")
             return {k: _check(f"{path}.{k}", v, int) for k, v in value.items()}
         what = "an object of integers"
     else:
@@ -356,7 +358,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
         if out_dir and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
             save_checkpoint(os.path.join(out_dir, f"ckpt_{step:06d}"), after, cfg.hp)
 
-    with _Child(functools.partial(_train, cfg, spec, layers, batches, cfg.hp)) as steps:
+    with _Child(functools.partial(_train, cfg, spec, layers, batches)) as steps:
         layers, _, failure = _run(steps, layers, on_step)
 
     summary = {
@@ -383,14 +385,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
 
 
 def _train(cfg: ExperimentConfig, spec: ModelSpec, layers: list[Layer],
-           batches: list[Batch], hp: HyperParams):
+           batches: list[Batch]):
     """Yield ``(t, eta_t, loss, grads, layers)`` per step, ``layers`` as stepped.
 
-    The one training loop of every preset: batches in one ``epoch_order`` per
-    epoch, the schedule's rates scaled from ``hp.eta`` and a set ``hp.gamma``,
-    loss and gradients at the current parameters, then ``step_all``, whose
-    StepAllError ends the iteration before step ``t`` is yielded.
+    The one training loop of every preset, set by ``cfg`` alone: batches in one
+    ``epoch_order`` per epoch, the schedule's rates scaled from ``cfg.hp.eta`` and a
+    set ``cfg.hp.gamma``, loss and gradients at the current parameters, then
+    ``step_all``, whose StepAllError ends the iteration before step ``t`` is yielded.
     """
+    hp = cfg.hp
     for t in range(cfg.steps):
         epoch, slot = divmod(t, len(batches))
         if slot == 0:
@@ -429,6 +432,7 @@ def _run(steps: Iterator, layers: list[Layer], on_step: Callable):
             before, layers, step = layers, after, t + 1
             if on_step(t, eta_t, loss, grads, before, after, where):
                 return before, t, None
+            del before, grads  # not held while the next step is made or unpickled
     except _RUN_ERRORS as exc:
         failed, at = exc, step
         if isinstance(exc, StepAllError):
@@ -565,8 +569,8 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
 
     for horizon in cfg.rate_horizons:
         step_size = math.sqrt(delta1 / (big_l * horizon))
-        hp = HyperParams(eta=step_size, gamma=step_size, beta1=0.0, backend="polar")
-        run_cfg = replace(cfg, steps=horizon, schedule=ScheduleSpec())
+        run_cfg = replace(cfg, steps=horizon, schedule=ScheduleSpec(), hp=HyperParams(
+            eta=step_size, gamma=step_size, beta1=0.0, backend="polar"))
         # Per step: the loss before it, its dual gradient norm and its descent
         # bound. The loss _train takes before step t + 1 is the loss after step
         # t, so only the loss after the last step taken is evaluated here.
@@ -582,7 +586,7 @@ def preset_rate_check(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> d
             duals.append(l1 + nuc)  # dual_norm(gg, gr), whose SVD the bound reuses
 
         # the quadratic ignores its batch, so one placeholder serves every step
-        layers, _, failure = _run(_train(run_cfg, spec, start, [None], hp), start, on_step)
+        layers, _, failure = _run(_train(run_cfg, spec, start, [None]), start, on_step)
         if len(losses) == len(bounds):  # else the loss of the failed step ends the last row
             losses.append(loss_and_grad(spec, _params_of(layers), None)[0])
         slacks = [(after - loss) - rhs for loss, after, rhs in zip(losses, losses[1:], bounds)]
@@ -639,7 +643,7 @@ def preset_noise_compare(cfg: ExperimentConfig, out_dir: Optional[str] = None) -
                 true_grads[i], [s[i] for s in sample_grads], _view_of(layer.state))
             rows.append([step, layer.name, *astuple(report)])
 
-    _, _, failure = _run(_train(cfg, spec, layers, batches, cfg.hp), layers, on_step)
+    _, _, failure = _run(_train(cfg, spec, layers, batches), layers, on_step)
     ok = not failure and len(rows) > 0 and all(
         all(math.isfinite(v) and v >= 0.0 for v in r[2:]) for r in rows)
     _write_run(out_dir, ["step", "layer", *(f.name for f in fields(NoiseReport))],
@@ -659,14 +663,13 @@ def preset_lr_sweep(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dic
     an inf sentinel and stop early without aborting the sweep. The cells run
     in ``_map_cells`` worker processes.
     """
-    etas = [2.0 ** k for k in range(cfg.sweep_log2_min, cfg.sweep_log2_max + 1)]
-    cells = [(opt_kind, eta) for opt_kind in cfg.sweep_optimizers for eta in etas]
+    cells = [replace(cfg, optimizer_kind=kind, hp=replace(cfg.hp, eta=2.0 ** k))
+             for kind in cfg.sweep_optimizers
+             for k in range(cfg.sweep_log2_min, cfg.sweep_log2_max + 1)]
     # Every cell starts from the same model and data; steps and init_layers
     # copy what they keep, so the arrays are shared read-only across cells.
     spec, params, batches = _make_model(cfg)
-    first_batch = _first_batch(batches, cfg.seed)
-    rows = _map_cells(lambda cell: _sweep_cell(cfg, spec, params, batches, first_batch,
-                                               *cell), cells)
+    rows = _map_cells(lambda cell: _sweep_cell(cell, spec, params, batches), cells)
     _write_run(out_dir, ["optimizer", "eta", "final_loss", "steps_done", "diverged"],
                rows, {"preset": "lr-sweep", "cells": len(rows)})
     assertions = [{
@@ -678,20 +681,19 @@ def preset_lr_sweep(cfg: ExperimentConfig, out_dir: Optional[str] = None) -> dic
 
 
 def _sweep_cell(cfg: ExperimentConfig, spec: ModelSpec, params: ParamSet,
-                batches: list[Batch], first_batch: Batch, opt_kind: str,
-                eta: float) -> list:
-    """The lr-sweep row of one cell: ``cfg``'s run with optimizer ``opt_kind`` at
-    rate ``eta``, from the sweep's shared model and data."""
-    layers = init_layers(params.named_values(), matrix_kind=opt_kind)
+                batches: list[Batch]) -> list:
+    """The lr-sweep row of one cell: the run of cell config ``cfg``, from the
+    sweep's shared model and data."""
+    layers = init_layers(params.named_values(), matrix_kind=cfg.optimizer_kind)
     # A step is counted when the loss it started from is below the sentinel;
     # the step taken from a diverged loss is not. A run error stops the cell too.
     layers, steps_done, _ = _run(
-        _train(cfg, spec, layers, batches, replace(cfg.hp, eta=eta)), layers,
+        _train(cfg, spec, layers, batches), layers,
         lambda t, eta_t, loss, *_: not math.isfinite(loss) or loss > DIVERGENCE_LOSS)
-    final_loss = (loss_and_grad(spec, _params_of(layers), first_batch)[0]
+    final_loss = (loss_and_grad(spec, _params_of(layers), _first_batch(batches, cfg.seed))[0]
                   if steps_done == cfg.steps else math.inf)
     diverged = not (math.isfinite(final_loss) and final_loss <= DIVERGENCE_LOSS)
-    return [opt_kind, float(eta), math.inf if diverged else float(final_loss),
+    return [cfg.optimizer_kind, float(cfg.hp.eta), math.inf if diverged else float(final_loss),
             steps_done, int(diverged)]
 
 
@@ -790,6 +792,7 @@ class _Child:
                 return
             taken += 1
             yield payload
+            del payload
         items = self.make()
         shown, warnings.showwarning = warnings.showwarning, lambda *_: None
         try:

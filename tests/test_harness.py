@@ -13,6 +13,7 @@ import tempfile
 import textwrap
 import time
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from hypothesis import strategies as st
 from muown import harness, models, optimizers, rng
 from muown.cli import main as cli_main
 from muown.errors import ConfigError, StepAllError, ZeroRowError
+from muown.optimizers import HyperParams
 from muown.harness import (
     CSV_SCHEMA_LINE,
     ExperimentConfig,
@@ -258,6 +260,21 @@ class TestPresets:
             *alone["assertions"]]
         assert not verdict["pass"]
 
+    def test_each_rate_check_horizon_trains_by_its_own_config(self, monkeypatch):
+        # the config a horizon's run is given holds the hyperparameters it trains with
+        seen, inner = [], harness._train
+
+        def spy(cfg, *args):
+            seen.append((cfg.steps, cfg.hp))
+            return inner(cfg, *args)
+
+        monkeypatch.setattr(harness, "_train", spy)
+        cfg = ExperimentConfig(preset="rate-check", rate_horizons=(2, 9))
+        assert run_preset(cfg, None)["pass"]
+        # Delta1 = 0.5 ||I||_F^2 = 1 and L = 1, so the step size is sqrt(1 / T)
+        assert seen == [(T, HyperParams(eta=math.sqrt(1.0 / T), gamma=math.sqrt(1.0 / T),
+                                        beta1=0.0, backend="polar")) for T in (2, 9)]
+
     def test_rate_check_takes_each_loss_once(self, monkeypatch):
         counts = {"loss_and_grad": 0, "permutation": 0}
 
@@ -399,6 +416,25 @@ class TestPresets:
         # divergent cells record the sentinel without aborting later cells
         diverged = [int(r[4]) for r in rows]
         assert diverged[-1] == 1 and diverged[0] == 0
+
+    def test_a_sweep_cell_is_the_single_run_of_its_config(self, monkeypatch):
+        monkeypatch.setattr(optimizers, "_workers", lambda: 1)
+        cells, inner = [], harness._sweep_cell
+
+        def spy(cell, *args):
+            row = inner(cell, *args)
+            cells.append((cell, row))
+            return row
+
+        monkeypatch.setattr(harness, "_sweep_cell", spy)
+        cfg = config_from_dict({"steps": 20, "lr_sweep": {"log2_min": -8, "log2_max": -8}},
+                               preset="lr-sweep")
+        assert preset_lr_sweep(cfg, None)["pass"]
+        assert [cell.optimizer_kind for cell, _ in cells] == list(cfg.sweep_optimizers)
+        for cell, [kind, eta, final_loss, steps_done, diverged] in cells:
+            assert (kind, eta, steps_done, diverged) == (cell.optimizer_kind, 2.0 ** -8, 20, 0)
+            assert cell.hp.eta == eta and cell.steps == 20
+            assert final_loss == run_experiment(cell).summary["final_loss"]  # bit for bit
 
     def test_sweep_rows_count_multiple_optimizers(self):
         cfg = ExperimentConfig(preset="lr-sweep", steps=5,
@@ -898,6 +934,22 @@ class TestTrainingChild:
         assert lost == inline
         assert calls == [caller] * 30  # the caller trains every step again
 
+    def test_the_caller_holds_no_earlier_step_while_the_next_one_loads(self, monkeypatch):
+        # each step's gradient is freed once its row is done, not after the
+        # next step has been unpickled beside it
+        monkeypatch.setattr(optimizers, "_workers", lambda: 2)
+        grads, alive, inner = [], [], pickle.load
+
+        def load(fh):
+            alive.append(sum(ref() is not None for ref in grads))
+            return inner(fh)
+
+        monkeypatch.setattr(pickle, "load", load)
+        run_experiment(ExperimentConfig(steps=6),
+                       probe=lambda t, before, after, loss, g: grads.append(weakref.ref(g[0])))
+        assert len(grads) == 6
+        assert alive == [0] * 7  # six steps, then the end of the stream
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
     def test_killed_cli_run_leaves_no_training_child(self, tmp_path):
         # the caller stops at its first row and is killed; its child, trained
@@ -1214,6 +1266,16 @@ class TestCli:
         rc = cli_main(["run", "single", "--config", str(config), "--out", str(tmp_path / "x")])
         assert rc == 2
         assert capsys.readouterr().err == f"config error: {where}: a field with an empty name\n"
+
+    def test_an_empty_dimension_name_exits_2_naming_the_dims(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"model": {"dims": {"": 1}}}')
+        for args in (["--config", str(config)], ["--set", 'model.dims={"": 1}']):
+            rc = cli_main(["run", "single", *args, "--out", str(tmp_path / "x")])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                "config error: model.dims: a field with an empty name\n")
+        assert not (tmp_path / "x").exists()
 
     def test_schedule_kind_exits_2_naming_it(self, tmp_path, capsys):
         # zero fractions are the constant schedule, so no kind is left to choose
