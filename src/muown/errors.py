@@ -13,7 +13,7 @@ class ZeroRowError(ValueError):
         self.norm = norm
         super().__init__(f"row {row} has norm {norm!r}, below the nonzero-row floor")
 
-    def __reduce__(self):  # rebuilt from its fields, so that it crosses a pickle
+    def __reduce__(self):  # a public error pickles: rebuilt from its fields, not its message
         return type(self), (self.row, self.norm)
 
 
@@ -29,7 +29,7 @@ class StepAllError(RuntimeError):
         detail = "; ".join(f"layer {i}: {e}" for i, e in self.failures)
         super().__init__(f"{len(self.failures)} layer step(s) failed: {detail}")
 
-    def __reduce__(self):
+    def __reduce__(self):  # as ZeroRowError's
         return type(self), (self.failures,)
 
 

@@ -405,6 +405,7 @@ def _train(cfg: ExperimentConfig, spec: ModelSpec, layers: list[Layer],
             hp, eta=eta_t, gamma=gamma_t)
         layers = step_all(layers, grads, step_hp)
         yield t, eta_t, loss, grads, layers
+        del grads  # not held while the next step's gradients are made
 
 
 # What stops a run: a failed optimizer step, or a metric of a diverged layer.
@@ -732,12 +733,12 @@ class _Child:
     leaves by ``os._exit``, which flushes none of the caller's buffers and runs
     no atexit hook. Iterating the ``_Child`` in the caller takes the items in
     order. It issues the warnings the child showed making an item when it takes
-    that item, and raises ``make()``'s error at its place in the stream; one
-    that does not survive a pickle round trip comes back as
-    ``RuntimeError("<Type>: <message>")``. With one worker, no fork, a fork
-    that raises OSError, or a child lost mid-stream (a child that cannot pickle
-    an item whole ends there), the iteration runs ``make()`` here and skips the
-    items it already has, unwarned.
+    that item. With one worker, no fork, a fork that raises OSError, or a child
+    lost before its end (one that dies, cannot pickle an item whole, or meets an
+    error of ``make()``), the iteration runs ``make()`` here and skips the items
+    it already has, unwarned. So an error of ``make()`` is met here, at its
+    place in the stream, with its own type and message, once the items before
+    it are made a second time; one that only the child meets is not met.
 
     Use it as a context manager, which kills the child, if still there, and
     reaps it. A child keeps only its own pipe end, so no sibling holds that
@@ -783,11 +784,9 @@ class _Child:
             try:
                 caught, kind, payload = pickle.load(self.read)
             except (EOFError, pickle.UnpicklingError):
-                break  # the child died: make the rest here
+                break  # the child was lost: make the rest here
             for warning in caught:
                 _warn_again(*warning)
-            if kind == "error":
-                raise payload
             if kind == "end":
                 return
             taken += 1
@@ -804,45 +803,26 @@ class _Child:
 
 
 def _run_child(make: Callable[[], Iterator], write: int) -> None:
-    """The forked side of ``_Child``: pickle ``(warnings, kind, payload)`` onto
-    pipe ``write`` for each item of ``make()``, then for its end or its error,
-    and ``os._exit``. A message it cannot write whole ends it there, so that
-    the caller makes the rest. It first closes every descriptor it inherited
-    but 0-2 and ``write``, so that it holds no read end, its own or an older
-    sibling's: each child's next write fails once its caller has died,
-    whichever siblings are still alive."""
-    code = 1
+    """The forked side of ``_Child``: pickle ``(warnings, "item", item)`` onto
+    pipe ``write`` for each item of ``make()``, then ``(warnings, "end", None)``,
+    and ``os._exit``. An error of ``make()``, or a message it cannot write
+    whole, ends it there with no further message, so that the caller makes the
+    rest. It first closes every descriptor it inherited but 0-2 and ``write``,
+    so that it holds no read end, its own or an older sibling's: each child's
+    next write fails once its caller has died, whichever siblings are alive."""
     try:
         os.closerange(3, write)
         os.closerange(write + 1, os.sysconf("SC_OPEN_MAX"))
         out = os.fdopen(write, "wb")
         caught: list[tuple] = []  # the warnings shown since the last message
         warnings.showwarning = _keeper(caught)
-
-        def messages():  # catches make()'s errors only, not those of pickle.dump
-            try:
-                for item in make():
-                    yield caught, "item", item
-                yield caught, "end", None
-            except Exception as exc:  # noqa: BLE001 - raised again in the caller
-                yield caught, "error", _portable(exc)
-
-        for message in messages():
-            pickle.dump(message, out, 5)
+        items = (("item", item) for item in make())
+        for kind, payload in itertools.chain(items, [("end", None)]):
+            pickle.dump((caught, kind, payload), out, 5)
             out.flush()
             caught.clear()
-        code = 0
     finally:
-        os._exit(code)
-
-
-def _portable(exc: BaseException) -> BaseException:
-    """``exc`` if it survives a pickle round trip, else a RuntimeError naming it."""
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:  # noqa: BLE001 - any failure to rebuild it
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc
+        os._exit(0)
 
 
 def _keeper(into: list) -> Callable:

@@ -185,6 +185,21 @@ class TestRunExperiment:
                          for t in range(10)]
         assert len({gamma for _, gamma in rates}) == 3  # a third, two thirds and all of 0.05
 
+    def test_no_earlier_gradient_is_held_while_the_next_one_is_made(self, monkeypatch):
+        # one process: _train's frame drops each step's gradients once it is taken
+        monkeypatch.setattr(optimizers, "_workers", lambda: 1)
+        grads, alive, inner = [], [], harness.loss_and_grad
+
+        def spy(*args):
+            alive.append(sum(ref() is not None for ref in grads))
+            return inner(*args)
+
+        monkeypatch.setattr(harness, "loss_and_grad", spy)
+        run_experiment(ExperimentConfig(steps=6),
+                       probe=lambda t, before, after, loss, g: grads.append(weakref.ref(g[0])))
+        assert len(grads) == 6
+        assert alive == [0] * 7  # six steps, then the final loss
+
     def test_gamma_equal_to_eta_logs_as_gamma_null(self, tmp_path):
         for name, gamma in (("null", None), ("eta", 0.02)):
             run_experiment(config_from_dict(_scheduled_signum(gamma)), str(tmp_path / name))
@@ -577,22 +592,23 @@ class TestSweepWorkers:
     @pytest.mark.parametrize("error, raised, message", [
         pytest.param(LookupError("no such cell"), LookupError, "no such cell",
                      id="picklable"),
-        # an exception that cannot be rebuilt from its args comes back as a RuntimeError
-        pytest.param(NeedsTwoArgs("bad cell", "a worker"), RuntimeError,
-                     "NeedsTwoArgs: bad cell in a worker", id="unpicklable"),
+        # no pickle carries the error, so one that cannot be rebuilt from its args
+        # keeps its type too
+        pytest.param(NeedsTwoArgs("bad cell", "a worker"), NeedsTwoArgs,
+                     "bad cell in a worker", id="unpicklable"),
     ])
     def test_worker_exception_is_raised_in_the_caller(self, monkeypatch, error, raised,
                                                        message):
+        # the muon cell, the worker's, fails in every process
         monkeypatch.setattr(optimizers, "_workers", lambda: 2)
-        caller = os.getpid()
         inner = harness.init_layers
 
-        def fails_in_a_worker(*args, **kw):
-            if os.getpid() != caller:
+        def fails_for_muon(*args, matrix_kind, **kw):
+            if matrix_kind == "muon":
                 raise error
-            return inner(*args, **kw)
+            return inner(*args, matrix_kind=matrix_kind, **kw)
 
-        monkeypatch.setattr(harness, "init_layers", fails_in_a_worker)
+        monkeypatch.setattr(harness, "init_layers", fails_for_muon)
         cfg = config_from_dict({"steps": 3, "lr_sweep": {
             "log2_min": -6, "log2_max": -6, "optimizers": ["muown", "muon"]}},
             preset="lr-sweep")
@@ -637,18 +653,18 @@ class TestSweepWorkers:
 
 
     def test_child_run_error_keeps_its_type(self, monkeypatch):
+        # cell 3 fails in every process; the worker's share is cells 1 and 3
         monkeypatch.setattr(optimizers, "_workers", lambda: 2)
-        caller = os.getpid()
 
         def cell(c):
-            if os.getpid() != caller:
+            if c == 3:
                 raise ZeroRowError(c, 0.0)
             return c
 
         with pytest.raises(ZeroRowError) as info:
             harness._map_cells(cell, [0, 1, 2, 3])
-        assert (info.value.row, info.value.norm) == (1, 0.0)
-        assert str(info.value) == str(ZeroRowError(1, 0.0))
+        assert (info.value.row, info.value.norm) == (3, 0.0)
+        assert str(info.value) == str(ZeroRowError(3, 0.0))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -1048,6 +1064,45 @@ class TestTrainingChild:
             for child in children:
                 with contextlib.suppress(ProcessLookupError):
                     os.kill(child, signal.SIGKILL)
+
+
+@pytest.mark.usefixtures("time_bound")
+class TestChildOnlyError:
+    """An error that only a forked child meets loses that child, so the caller
+    makes the child's items itself and gets the one-worker result."""
+
+    @pytest.fixture(autouse=True)
+    def reaped(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_map_cells_gives_the_one_worker_results(self, monkeypatch):
+        caller = os.getpid()
+
+        def cell(c):
+            if os.getpid() != caller:
+                raise ZeroRowError(c, 0.0)
+            return c * c
+
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(optimizers, "_workers", lambda: workers)
+            results.append(harness._map_cells(cell, [0, 1, 2, 3]))
+        assert results == [[0, 1, 4, 9]] * 2
+
+    def test_single_run_writes_the_inline_runs_files(self, monkeypatch, tmp_path):
+        sets = ["steps=12", "checkpoint_every=4"]
+        inline = _observed_run(monkeypatch, tmp_path, 1, "single", sets)
+        caller, inner = os.getpid(), harness.step_all
+
+        def fails_in_the_child(layers, grads, hp):
+            if os.getpid() != caller and layers[0].state.t == 5:
+                raise StepAllError([(0, ZeroRowError(0, 0.0))])
+            return inner(layers, grads, hp)
+
+        monkeypatch.setattr(harness, "step_all", fails_in_the_child)
+        assert _observed_run(monkeypatch, tmp_path / "healed", 2, "single", sets) == inline
 
 
 class TestVectorRouting:
