@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import itertools
 import json
 import math
@@ -332,8 +331,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     and does each one's side effects itself: probe t, metrics row t (on
     logged steps), checkpoint t, then probe t + 1. A failed row stops the run
     at its step, and an error training step t + 1 is raised after row t and
-    checkpoint t. Without the child the steps are trained here, in the same
-    order, so the files written are the same at any worker count.
+    checkpoint t. Without the child, or once it is lost, the steps are trained
+    here, in the same order, so the files written are the same at any worker count.
     """
     spec, params, batches = _make_model(cfg)
     layers = init_layers(params.named_values(), matrix_kind=cfg.optimizer_kind)
@@ -344,7 +343,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
     rows: list[list] = []
 
     def on_step(t, eta_t, loss, grads, before, after, where):
-        step = t + 1
+        nonlocal layers  # the layers that a lost child's steps resume from
+        step, layers = t + 1, after
         if probe is not None:
             probe(t, before, after, loss, grads)
         if step % cfg.log_every == 0 or step == cfg.steps:
@@ -358,7 +358,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
         if out_dir and cfg.checkpoint_every and step % cfg.checkpoint_every == 0:
             save_checkpoint(os.path.join(out_dir, f"ckpt_{step:06d}"), after, cfg.hp)
 
-    with _Child(functools.partial(_train, cfg, spec, layers, batches)) as steps:
+    with _Child(lambda k: _train(cfg, spec, layers, batches, k)) as steps:
         layers, _, failure = _run(steps, layers, on_step)
 
     summary = {
@@ -385,18 +385,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir: Optional[str] = None,
 
 
 def _train(cfg: ExperimentConfig, spec: ModelSpec, layers: list[Layer],
-           batches: list[Batch]):
-    """Yield ``(t, eta_t, loss, grads, layers)`` per step, ``layers`` as stepped.
+           batches: list[Batch], start: int = 0):
+    """Yield ``(t, eta_t, loss, grads, layers)`` per step ``t`` from ``start`` on,
+    ``layers`` as stepped, given the layers after step ``start - 1``.
 
     The one training loop of every preset, set by ``cfg`` alone: batches in one
     ``epoch_order`` per epoch, the schedule's rates scaled from ``cfg.hp.eta`` and a
     set ``cfg.hp.gamma``, loss and gradients at the current parameters, then
     ``step_all``, whose StepAllError ends the iteration before step ``t`` is yielded.
+    A step depends on ``t`` and its layers alone, so a run resumed at ``start``
+    yields bit for bit the items of the run from step 0.
     """
     hp = cfg.hp
-    for t in range(cfg.steps):
+    for t in range(start, cfg.steps):
         epoch, slot = divmod(t, len(batches))
-        if slot == 0:
+        if slot == 0 or t == start:
             order = models.epoch_order(len(batches), cfg.seed, epoch)
         eta_t = eta_at(cfg.schedule, t, cfg.steps, hp.eta)
         gamma_t = None if hp.gamma is None else eta_at(cfg.schedule, t, cfg.steps, hp.gamma)
@@ -705,13 +708,14 @@ def _map_cells(cell: Callable, cells: list) -> list:
     other worker's share is mapped in a ``_Child``, forked once the caller has
     built what the cells share, so that it inherits that and sends back only
     each cell's result. Hooks in the calling process (on ``step_all``, say)
-    see only worker 0's cells. The ``_Child`` fallbacks keep the results
-    independent of the worker count.
+    see only worker 0's cells. A lost child's remaining cells run here, so the
+    results are independent of the worker count.
     """
     workers = min(optimizers._workers(), len(cells))
     out = [None] * len(cells)
     with contextlib.ExitStack() as reaped:
-        children = [reaped.enter_context(_Child(functools.partial(map, cell, cells[w::workers])))
+        children = [reaped.enter_context(_Child(lambda k, share=cells[w::workers]:
+                                                map(cell, share[k:])))
                     for w in range(1, workers)]
         out[0::workers] = [cell(c) for c in cells[0::workers]]
         for w, child in enumerate(children, 1):
@@ -724,21 +728,21 @@ def _map_cells(cell: Callable, cells: list) -> list:
 
 
 class _Child:
-    """The items of the iterator ``make()`` returns, made in a forked child
-    process: the one fork, pipe, pickle and reap protocol of this module.
+    """The items ``make(k)`` returns, a stream's items from index ``k`` on, made in
+    a forked child process: the one fork, pipe, pickle and reap protocol here.
 
     With two or more workers (``optimizers._workers``, which is 1 in a forked
     process, so a child forks none), ``_Child(make)`` forks a child that runs
-    ``make()`` and pickles each item onto one pipe as soon as it is made, then
+    ``make(0)`` and pickles each item onto one pipe as soon as it is made, then
     leaves by ``os._exit``, which flushes none of the caller's buffers and runs
     no atexit hook. Iterating the ``_Child`` in the caller takes the items in
     order. It issues the warnings the child showed making an item when it takes
     that item. With one worker, no fork, a fork that raises OSError, or a child
     lost before its end (one that dies, cannot pickle an item whole, or meets an
-    error of ``make()``), the iteration runs ``make()`` here and skips the items
-    it already has, unwarned. So an error of ``make()`` is met here, at its
-    place in the stream, with its own type and message, once the items before
-    it are made a second time; one that only the child meets is not met.
+    error of ``make``), the iteration goes on here with ``make(taken)``, past the
+    items it has taken. So each item is made once, but one cut off mid-message;
+    an error of ``make`` is met here, at its place in the stream, with its own
+    type and message; and one that only the child meets is not met.
 
     Use it as a context manager, which kills the child, if still there, and
     reaps it. A child keeps only its own pipe end, so no sibling holds that
@@ -746,7 +750,7 @@ class _Child:
     next item. Forked, not spawned, so that no child rebuilds the model.
     """
 
-    def __init__(self, make: Callable[[], Iterator]):
+    def __init__(self, make: Callable[[int], Iterator]):
         self.make, self.pid = make, None
         if optimizers._workers() < 2 or not hasattr(os, "fork"):
             return
@@ -792,23 +796,16 @@ class _Child:
             taken += 1
             yield payload
             del payload
-        items = self.make()
-        shown, warnings.showwarning = warnings.showwarning, lambda *_: None
-        try:
-            # their warnings were issued when they were taken from the child
-            next(itertools.islice(items, taken, taken), None)
-        finally:
-            warnings.showwarning = shown
-        yield from items
+        yield from self.make(taken)
 
 
-def _run_child(make: Callable[[], Iterator], write: int) -> None:
+def _run_child(make: Callable[[int], Iterator], write: int) -> None:
     """The forked side of ``_Child``: pickle ``(warnings, "item", item)`` onto
-    pipe ``write`` for each item of ``make()``, then ``(warnings, "end", None)``,
-    and ``os._exit``. An error of ``make()``, or a message it cannot write
-    whole, ends it there with no further message, so that the caller makes the
-    rest. It first closes every descriptor it inherited but 0-2 and ``write``,
-    so that it holds no read end, its own or an older sibling's: each child's
+    pipe ``write`` for each item of ``make(0)``, then ``(warnings, "end", None)``,
+    and ``os._exit``. An error of ``make``, or a message it cannot write whole,
+    ends it there with no further message, so that the caller makes the rest.
+    It first closes every descriptor it inherited but 0-2 and ``write``, so
+    that it holds no read end, its own or an older sibling's: each child's
     next write fails once its caller has died, whichever siblings are alive."""
     try:
         os.closerange(3, write)
@@ -816,7 +813,7 @@ def _run_child(make: Callable[[], Iterator], write: int) -> None:
         out = os.fdopen(write, "wb")
         caught: list[tuple] = []  # the warnings shown since the last message
         warnings.showwarning = _keeper(caught)
-        items = (("item", item) for item in make())
+        items = (("item", item) for item in make(0))
         for kind, payload in itertools.chain(items, [("end", None)]):
             pickle.dump((caught, kind, payload), out, 5)
             out.flush()

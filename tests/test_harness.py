@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -36,7 +37,7 @@ from muown.harness import (
     run_preset,
 )
 from muown.orthogonalize import AGGRESSIVE_COEFFS, CLASSIC_COEFFS
-from muown.schedule import eta_at
+from muown.schedule import ScheduleSpec, eta_at
 
 
 def _read_csv(path):
@@ -200,11 +201,37 @@ class TestRunExperiment:
         assert len(grads) == 6
         assert alive == [0] * 7  # six steps, then the final loss
 
+    @pytest.mark.parametrize("kind", ["muown", "muown_signum"])
+    @pytest.mark.parametrize("num_batches", [4, 1])
+    # mid-epoch at 4 batches, the first steps of epochs 1 and 2, the last step
+    @pytest.mark.parametrize("start", [0, 1, 2, 4, 8, 10])
+    def test_train_resumes_bit_for_bit(self, kind, num_batches, start):
+        cfg = ExperimentConfig(steps=11, num_batches=num_batches, optimizer_kind=kind,
+                               hp=HyperParams(eta=0.02, gamma=0.05),
+                               schedule=ScheduleSpec(warmup_frac=0.2, decay_frac=0.3))
+        spec, params, batches = harness._make_model(cfg)
+        layers = optimizers.init_layers(params.named_values(), matrix_kind=kind)
+        full = list(harness._train(cfg, spec, layers, batches))
+        given = full[start - 1][4] if start else layers
+        resumed = list(harness._train(cfg, spec, given, batches, start))
+        assert [_item_bits(item) for item in resumed] == [_item_bits(item)
+                                                          for item in full[start:]]
+
     def test_gamma_equal_to_eta_logs_as_gamma_null(self, tmp_path):
         for name, gamma in (("null", None), ("eta", 0.02)):
             run_experiment(config_from_dict(_scheduled_signum(gamma)), str(tmp_path / name))
         assert ((tmp_path / "null" / "log.csv").read_bytes()
                 == (tmp_path / "eta" / "log.csv").read_bytes())
+
+
+def _item_bits(item) -> tuple:
+    """A ``_train`` item as bytes: ``t``, the rate, the loss, the gradients, and
+    every field of every layer's state (its arrays and its ``t`` counter)."""
+    t, eta_t, loss, grads, layers = item
+    states = [getattr(l.state, f.name) for l in layers for f in dataclasses.fields(l.state)]
+    return (t, np.float64(eta_t).tobytes(), np.float64(loss).tobytes(),
+            [(a.shape, a.tobytes()) for a in grads],
+            [(v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v for v in states])
 
 
 def _scheduled_signum(gamma) -> dict:
@@ -636,6 +663,27 @@ class TestSweepWorkers:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_lost_workers_delivered_cells_are_not_run_again(self, monkeypatch):
+        # the worker's share is cells 1, 3, 5 and 7; it sends 1 and 3, then
+        # leaves at 5, so the caller runs 5 and 7 after its own share
+        caller, calls = os.getpid(), []
+
+        def cell(c):
+            if os.getpid() != caller and c == 5:
+                os._exit(0)
+            calls.append(c)  # a child appends to its own copy
+            return c * c
+
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(optimizers, "_workers", lambda: workers)
+            calls.clear()
+            results.append(harness._map_cells(cell, range(8)))
+        assert results[1] == results[0] == [c * c for c in range(8)]
+        assert calls == [0, 2, 4, 6, 5, 7]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     def test_cli_prints_its_output_once(self, tmp_path):
         # a worker leaves by os._exit, so it never flushes the caller's buffered stdout
         code = ("import sys; from muown import cli, optimizers; "
@@ -803,8 +851,8 @@ class TestChild:
         # 40 items of 320 kB: more than the pipe holds, so the child waits on it
         monkeypatch.setattr(optimizers, "_workers", lambda: workers)
         caller = os.getpid()
-        with harness._Child(lambda: ((i, os.getpid(), np.full(40_000, float(i)))
-                                     for i in range(40))) as items:
+        with harness._Child(lambda k: ((i, os.getpid(), np.full(40_000, float(i)))
+                                       for i in range(k, 40))) as items:
             got = list(items)
         assert [i for i, _, _ in got] == list(range(40))
         assert {pid == caller for _, pid, _ in got} == {workers == 1}
@@ -813,8 +861,8 @@ class TestChild:
     def test_each_items_warnings_are_issued_when_it_is_taken(self, monkeypatch):
         monkeypatch.setattr(optimizers, "_workers", lambda: 2)
 
-        def make():
-            for i in range(3):
+        def make(k):
+            for i in range(k, 3):
                 warnings.warn(f"making {i}", UserWarning)
                 yield i
 
@@ -827,8 +875,8 @@ class TestChild:
     def test_makes_error_is_raised_after_the_items_before_it(self, monkeypatch):
         monkeypatch.setattr(optimizers, "_workers", lambda: 2)
 
-        def make():
-            yield from range(3)
+        def make(k):
+            yield from range(k, 3)
             raise ZeroRowError(1, 0.0)
 
         got = []
@@ -843,7 +891,7 @@ class TestChild:
         monkeypatch.setattr(optimizers, "_workers", lambda: 2)
         monkeypatch.setattr(os, "fork", _no_fork)
         caller = os.getpid()
-        with harness._Child(lambda: (os.getpid() for _ in range(3))) as items:
+        with harness._Child(lambda k: (os.getpid() for _ in range(k, 3))) as items:
             assert list(items) == [caller] * 3
 
     @pytest.mark.parametrize("k", [0, 3])
@@ -851,8 +899,8 @@ class TestChild:
         monkeypatch.setattr(optimizers, "_workers", lambda: 2)
         caller = os.getpid()
 
-        def make():
-            for i in range(6):
+        def make(start):
+            for i in range(start, 6):
                 if os.getpid() != caller and i == k:
                     os.kill(os.getpid(), signal.SIGKILL)
                 yield i, os.getpid()
@@ -876,8 +924,8 @@ class TestChild:
         monkeypatch.setattr(optimizers, "_workers", lambda: 2)
         caller = os.getpid()
 
-        def make():
-            for i in range(4):
+        def make(start):
+            for i in range(start, 4):
                 yield (i, os.getpid(), np.full(40_000, float(i)),
                        _KillsAChild(caller) if i == k else None)
 
@@ -891,8 +939,8 @@ class TestChild:
         # the child cannot send item 2, which holds a lambda, and ends there
         caller = os.getpid()
 
-        def make():
-            for i in range(4):
+        def make(start):
+            for i in range(start, 4):
                 yield i, os.getpid(), (lambda i=i: i) if i == 2 else None
 
         runs = []
@@ -948,7 +996,28 @@ class TestTrainingChild:
             monkeypatch.setattr(os, "fork", _no_fork)
         lost = _observed_run(monkeypatch, tmp_path / "lost", 2, "single", sets)
         assert lost == inline
-        assert calls == [caller] * 30  # the caller trains every step again
+        # the caller trains the steps it did not take from the child, once
+        assert calls == [caller] * (30 if fault == "fork fails" else 27)
+
+    def test_a_failing_step_is_trained_once_in_the_caller(self, monkeypatch, tmp_path):
+        # step 8 of 12 fails in every process: the child trains steps 1-7 and
+        # leaves at step 8, which the caller trains alone from step 7's layers
+        sets = ["steps=12", "checkpoint_every=4"]
+        caller, calls, inner = os.getpid(), [], harness.step_all
+
+        def fails_step_8(layers, grads, hp):
+            if os.getpid() == caller:
+                calls.append(layers[0].state.t)
+            if layers[0].state.t == 7:
+                raise StepAllError([(0, ZeroRowError(0, 0.0))])
+            return inner(layers, grads, hp)
+
+        monkeypatch.setattr(harness, "step_all", fails_step_8)
+        inline = _observed_run(monkeypatch, tmp_path, 1, "single", sets)
+        assert inline[0]["pass"] is False and calls == list(range(8))
+        calls.clear()
+        assert _observed_run(monkeypatch, tmp_path / "two", 2, "single", sets) == inline
+        assert calls == [7]
 
     def test_the_caller_holds_no_earlier_step_while_the_next_one_loads(self, monkeypatch):
         # each step's gradient is freed once its row is done, not after the
